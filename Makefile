@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench-smoke bench bench-treesize bench-service bench-opt bench-queryset bench-incremental bench-subsume bench-span fuzz-smoke docs-gate
+.PHONY: check vet build test race bench-smoke bench bench-treesize bench-service bench-opt bench-queryset bench-incremental bench-subsume bench-span bench-layers layers-check fuzz-smoke docs-gate
 
-check: docs-gate build race fuzz-smoke bench-smoke
+check: docs-gate build race fuzz-smoke layers-check bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -56,11 +56,13 @@ bench-queryset:
 	$(GO) run ./cmd/benchtables -queryset BENCH_queryset.json
 
 # Bounded run of the cross-engine differential fuzzer: 400 random
-# monadic programs × 2 random trees × {linear, bitmap, LIT,
-# semi-naive, naive} × {-O0, -O1}, all engines compared on every
-# visible relation, plus all-linear and all-bitmap fused QuerySet
-# passes against their individual evaluations, plus the random
-# edit-script oracle (incremental maintenance ≡ replay from scratch).
+# monadic programs × 2 random trees × {-O0, -O1}, the two serving
+# engines (linear, bitmap) compiled through Compile and the reference
+# engines (LIT, semi-naive, naive) run through eval.EvalOnTree on the
+# same optimized program, all compared on every visible relation,
+# plus all-linear and all-bitmap fused QuerySet passes against their
+# individual evaluations, plus the random edit-script oracle
+# (incremental maintenance ≡ replay from scratch).
 # Override the workload with MDLOG_FUZZ_N / MDLOG_FUZZ_SEED.
 # The store restart round-trip rides along: persistence must survive a
 # kill/reboot byte-identically, and it's fast enough for the quick path.
@@ -95,6 +97,20 @@ bench-subsume:
 # vs node-select + Go-regex post-processing at 10k/100k/300k nodes.
 bench-span:
 	$(GO) run ./cmd/benchtables -span BENCH_span.json
+
+# EXT-LAYERS, the end-to-end per-layer benchmark of the mdlogd request
+# path (extlayers/, its own Go module): one 30 s run per workload. The
+# last stdout line of each run is its JSON result.
+bench-layers:
+	for w in crawl-large fleet-mixed live-edit; do \
+		bash extlayers/run.sh --workload $$w --seed 1 --seconds 30 --trace 0 || exit 1; \
+	done
+
+# Root `go build/test ./...` never compiles extlayers/ (a module of its
+# own), so vet and self-test it here: an API change that breaks the
+# benchmark fails `make check`.
+layers-check:
+	cd extlayers && $(GO) vet ./... && $(GO) test ./...
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

@@ -6,7 +6,7 @@
 //	mdlog -lang xpath -query '//table/tr[td/b]/td' -html page.html
 //	mdlog -lang elog -program wrapper.elog -html p1.html -html p2.html
 //	mdlog -lang spanner -program prices.span -html page.html
-//	mdlog -program wrapper.dl -html page.html -engine seminaive -stats
+//	mdlog -program wrapper.dl -html page.html -engine bitmap -stats
 //
 // With -lang spanner the program combines node rules with span rules
 // (text/attr/match atoms); the output is one line per extracted span

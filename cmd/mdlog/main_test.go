@@ -6,11 +6,15 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	mdlog "mdlog"
+	"mdlog/internal/opt"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -85,20 +89,26 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-h"}, &out, &errb); err != nil {
 		t.Errorf("-h should print usage and succeed, got %v", err)
 	}
-	err := run([]string{"-query", "p(X) :- label_a(X). ?- p.", "-tree", "a", "-engine", "bogus"}, &out, &errb)
-	if err == nil || !strings.Contains(err.Error(), "valid engines: linear, bitmap, seminaive, naive, lit") {
-		t.Errorf("unknown -engine must name the valid options, got %v", err)
+	// Unknown and reference engines alike are refused, naming exactly
+	// the serving engines.
+	for _, engine := range []string{"bogus", "seminaive"} {
+		err := run([]string{"-query", "p(X) :- label_a(X). ?- p.", "-tree", "a", "-engine", engine}, &out, &errb)
+		if err == nil || !strings.HasSuffix(err.Error(), "(valid engines: linear, bitmap)") {
+			t.Errorf("-engine %s must be refused naming the valid options, got %v", engine, err)
+		}
 	}
 	if err := run([]string{"-query", "p(X) :- label_a(X). ?- p.", "-tree", "a", "-O", "7"}, &out, &errb); err == nil {
 		t.Error("want an error for a bad -O level")
 	}
 }
 
-// TestEngineOptMatrix runs one query through every engine and both
-// optimization levels; stdout must be identical across the matrix.
+// TestEngineOptMatrix runs one query through both serving engines and
+// both optimization levels; stdout must be identical across the
+// matrix, and must print what the reference engines select on the
+// program as given and optimized.
 func TestEngineOptMatrix(t *testing.T) {
 	var want string
-	for _, engine := range []string{"linear", "seminaive", "naive", "lit"} {
+	for _, engine := range []string{"linear", "bitmap"} {
 		for _, o := range []string{"-O0", "-O1"} {
 			var out, errb bytes.Buffer
 			args := []string{"-program", "testdata/wrapper.dl", "-html", "testdata/page.html", "-engine", engine, o}
@@ -109,6 +119,31 @@ func TestEngineOptMatrix(t *testing.T) {
 				want = out.String()
 			} else if out.String() != want {
 				t.Errorf("%s %s prints %q, want %q", engine, o, out.String(), want)
+			}
+		}
+	}
+	src, err := os.ReadFile("testdata/wrapper.dl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	page, err := os.ReadFile("testdata/page.html")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := mdlog.ParseProgram(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := mdlog.ParseHTML(string(page))
+	optimized, _ := opt.Optimize(p, opt.Options{Level: opt.O1})
+	for _, e := range []mdlog.Engine{mdlog.EngineSemiNaive, mdlog.EngineNaive, mdlog.EngineLIT} {
+		for _, prog := range []*mdlog.Program{p, optimized} {
+			db, err := mdlog.EvalOnTree(prog, doc, e)
+			if err != nil {
+				t.Fatalf("%v: %v", e, err)
+			}
+			if got := fmt.Sprintf("%s: %v\n", p.Query, db.UnarySet(p.Query)); got != want {
+				t.Errorf("reference %v selects %q, the CLI prints %q\nprogram:\n%s", e, got, want, prog)
 			}
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -82,9 +83,33 @@ func TestRunBootServeShutdown(t *testing.T) {
 }
 
 func TestRunBadConfig(t *testing.T) {
-	err := run(context.Background(), []string{"-config", filepath.Join(t.TempDir(), "missing.json")}, os.Stderr)
+	dir := t.TempDir()
+	err := run(context.Background(), []string{"-config", filepath.Join(dir, "missing.json")}, os.Stderr)
 	if err == nil {
 		t.Fatal("want an error for a missing config file")
+	}
+
+	// Only the serving engines boot: -engine, the daemon-wide default
+	// and a boot wrapper's own engine all refuse anything else, naming
+	// exactly linear, bitmap.
+	for _, engine := range []string{"bogus", "seminaive"} {
+		err := run(context.Background(), []string{"-addr", "127.0.0.1:0", "-engine", engine}, io.Discard)
+		if err == nil || !strings.HasSuffix(err.Error(), "(valid engines: linear, bitmap)") {
+			t.Errorf("-engine %s must be refused naming the valid options, got %v", engine, err)
+		}
+	}
+	for name, cfg := range map[string]string{
+		"default": `{"addr": "127.0.0.1:0", "engine": "naive"}`,
+		"wrapper": `{"addr": "127.0.0.1:0", "wrappers": [{"name": "w", "lang": "xpath", "source": "//td", "engine": "naive"}]}`,
+	} {
+		path := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(path, []byte(cfg), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := run(context.Background(), []string{"-config", path}, io.Discard)
+		if err == nil || !strings.HasSuffix(err.Error(), "(valid engines: linear, bitmap)") {
+			t.Errorf("%s engine naive must fail the boot naming the valid options, got %v", name, err)
+		}
 	}
 }
 

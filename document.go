@@ -9,9 +9,11 @@ package mdlog
 // QuerySet through RunIncremental — pays per edit for the delta-rule
 // maintenance of its model instead of re-evaluating the document from
 // scratch; plans outside the maintainable fragment (the MSO
-// automaton, direct evaluators, generic engines) transparently fall
+// automaton, the direct XPath/Elog⁻Δ evaluators) transparently fall
 // back to a from-scratch run over the canonical live tree, mapped
-// back to arena ids, so results are engine-independent.
+// back to arena ids, so results are engine-independent. Each
+// fallback snapshot's memoized results are forgotten once the
+// document moves past it, and Release forgets the current one.
 //
 // All edits to a Document's tree MUST go through the Document: it
 // serializes mutation against evaluation and keeps the delta log that
@@ -62,6 +64,13 @@ type Document struct {
 	snap    *Tree
 	snapPre []int32
 	snapGen uint64
+
+	// memoTree is the snapshot whose fallback results memoCaches hold.
+	// A snapshot is never queried again once the document moves past
+	// its generation, so superseding it (or Release) forgets it in each
+	// of those caches.
+	memoTree   *Tree
+	memoCaches map[*TreeCache]bool
 
 	edits int64
 }
@@ -345,6 +354,9 @@ func (q *CompiledQuery) runIncrementalIn(ctx context.Context, d *Document, cache
 			func() *eval.IncState { return p.plan.NewIncState(d.arena) })
 	default:
 		lt, pre := d.snapshotLocked()
+		if cache != nil {
+			d.memoizeOnLocked(lt, cache)
+		}
 		db, rs, err := q.runCachedIn(ctx, lt, cache)
 		if err != nil {
 			return nil, rs, err
@@ -354,6 +366,35 @@ func (q *CompiledQuery) runIncrementalIn(ctx context.Context, d *Document, cache
 		}
 		return db, rs, nil
 	}
+}
+
+// memoizeOnLocked records that cache is about to memoize fallback
+// results keyed by the snapshot lt, first forgetting the superseded
+// snapshot in every cache that memoized it. Caller holds d.mu.
+func (d *Document) memoizeOnLocked(lt *Tree, cache *TreeCache) {
+	if lt != d.memoTree {
+		d.forgetMemoLocked()
+		d.memoTree = lt
+		d.memoCaches = map[*TreeCache]bool{}
+	}
+	d.memoCaches[cache] = true
+}
+
+func (d *Document) forgetMemoLocked() {
+	for c := range d.memoCaches {
+		c.Forget(d.memoTree)
+	}
+	d.memoTree, d.memoCaches = nil, nil
+}
+
+// Release drops the cache entries the document's fallback runs left
+// behind — results the MSO automaton and the direct evaluators
+// memoized on its current snapshot — for closing a document. The
+// document stays usable; a later run simply memoizes again.
+func (d *Document) Release() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.forgetMemoLocked()
 }
 
 // remapToArena rewrites a database computed over the live-tree

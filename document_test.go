@@ -136,6 +136,48 @@ func TestDocumentIncrementalFallback(t *testing.T) {
 	}
 }
 
+// TestDocumentSnapshotMemoBounded: a QuerySet member outside the
+// maintainable fragment (the MSO automaton) memoizes each fallback run
+// on that generation's live-tree snapshot in the set's cache. A
+// superseded snapshot is never queried again, so its entry must go:
+// across 300 structural edits the cache holds at most two entries, and
+// Release empties it.
+func TestDocumentSnapshotMemoBounded(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(11))
+	labels := []string{"a", "b", "c"}
+	set, err := CompileSet([]SetSpec{
+		{Name: "mso", Source: "exists y (child(x,y) & label_b(y))", Lang: LangMSO},
+		{Name: "dl", Source: `q(X) :- label_a(X). ?- q.`, Lang: LangDatalog},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := NewDocument(tree.Random(rng, tree.RandomOptions{Labels: labels, Size: 30, MaxChildren: 4}))
+	for i := 0; i < 300; i++ {
+		live := doc.LiveNodes()
+		if i%2 == 1 && len(live) > 1 {
+			if err := doc.RemoveSubtree(live[1+rng.Intn(len(live)-1)]); err != nil {
+				t.Fatal(err)
+			}
+		} else if _, err := doc.InsertSubtree(live[rng.Intn(len(live))], rng.Intn(3), tree.New(labels[rng.Intn(3)])); err != nil {
+			t.Fatal(err)
+		}
+		for _, res := range set.RunIncremental(ctx, doc) {
+			if res.Err != nil {
+				t.Fatalf("edit %d: %s: %v", i, res.Name, res.Err)
+			}
+		}
+		if n := set.Cache().Len(); n > 2 {
+			t.Fatalf("edit %d: set cache holds %d entries, want ≤ 2 (superseded snapshots leak)", i, n)
+		}
+	}
+	doc.Release()
+	if n := set.Cache().Len(); n != 0 {
+		t.Fatalf("after Release the set cache holds %d entries, want 0", n)
+	}
+}
+
 // TestDocumentConcurrent hammers one document with concurrent editors
 // and incremental readers; run under -race this is the data-race net
 // for the session path.

@@ -1,15 +1,15 @@
 // Package cliflag holds the flag plumbing shared by the five command
 // line tools, so every CLI spells the optimizer and engine options the
 // same way: -O takes a level argument, -O0/-O1 are the conventional
-// shorthands, and an unknown -engine value surfaces one error naming
-// the valid engines.
+// shorthands, and -engine accepts only the serving engines, surfacing
+// one error naming them otherwise.
 package cliflag
 
 import (
 	"flag"
 	"fmt"
 
-	"mdlog/internal/eval"
+	mdlog "mdlog"
 	"mdlog/internal/opt"
 )
 
@@ -35,9 +35,9 @@ func OptLevel(fs *flag.FlagSet) func() (opt.Level, error) {
 }
 
 // Engine registers -engine on fs and returns a resolver to call after
-// parsing; an unknown value yields eval.ParseEngine's error, which
-// names the valid options.
-func Engine(fs *flag.FlagSet) func() (eval.Engine, error) {
-	name := fs.String("engine", "linear", "datalog engine: linear, bitmap, seminaive, naive, lit")
-	return func() (eval.Engine, error) { return eval.ParseEngine(*name) }
+// parsing; any value but a serving engine yields
+// mdlog.ParseEngineFlag's error, which names the valid options.
+func Engine(fs *flag.FlagSet) func() (mdlog.Engine, error) {
+	name := fs.String("engine", "linear", "serving engine: linear or bitmap (the reference engines seminaive, naive and lit are library-only oracles)")
+	return func() (mdlog.Engine, error) { return mdlog.ParseEngineFlag(*name) }
 }

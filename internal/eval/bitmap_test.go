@@ -166,12 +166,9 @@ func TestEngineNamesAndValidity(t *testing.T) {
 		if e.String() != name {
 			t.Fatalf("round trip %q -> %v", name, e)
 		}
-		if !ValidEngine(e) {
-			t.Fatalf("ValidEngine(%v) = false", e)
-		}
 	}
-	if ValidEngine(Engine(99)) {
-		t.Fatalf("ValidEngine(99) = true")
+	if _, err := EvalOnTree(datalog.MustParseProgram(`q(X) :- leaf(X).`), tree.MustParse("a(b)"), Engine(99)); err == nil {
+		t.Fatalf("EvalOnTree accepted Engine(99)")
 	}
 	if _, err := ParseEngine("bitmask"); err == nil {
 		t.Fatalf("ParseEngine accepted an unknown name")

@@ -9,8 +9,7 @@ import (
 
 // Signature describes which extensional relations beyond the τ_ur core
 // a program reads, i.e. what a TreeDB materialization must contain for
-// the generic engines to be complete on it. Two programs with the same
-// Signature can share one materialized database per tree.
+// the generic engines to be complete on it.
 type Signature struct {
 	Child, LastChild, FirstSibling, Dom bool
 	// ChildK is the largest k of any child_k atom (τ_rk), 0 if none.
@@ -88,18 +87,17 @@ func (s Signature) TreeDB(t *tree.Tree) *datalog.Database {
 }
 
 // TreeCache memoizes per-document evaluation state — the navigation
-// arrays of the linear engine and the materialized TreeDB per
-// Signature — so a compiled query (or many queries sharing one cache)
-// pays the O(|dom|) materialization once per (tree, signature) instead
-// of once per call.
+// arrays the grounding engines index and the per-(query, tree) result
+// memo — so a compiled query (or many queries sharing one cache) pays
+// the O(|dom|) materialization once per tree instead of once per call.
 //
 // Entries are keyed by (tree identity, generation): every mutation —
 // pointer-level edits followed by Reindex, or the arena mutation API —
 // advances tree.Tree.Generation, so post-mutation lookups can never be
 // served a pre-mutation memo; the stale entry simply becomes
 // unreachable and ages out under MaxTrees (or is dropped by Forget).
-// The cached databases are shared: callers must treat them as
-// read-only (the generic engines do: they Clone before writing).
+// The cached results are shared: callers must treat them as
+// read-only.
 //
 // A TreeCache is safe for concurrent use. The zero value is NOT ready;
 // use NewTreeCache.
@@ -136,7 +134,7 @@ type CacheStats struct {
 	// Results is the total number of memoized (query, tree) results
 	// across all entries.
 	Results int
-	// Hits and Misses count Nav/DB lookups served from memo vs
+	// Hits and Misses count Nav lookups served from memo vs
 	// materialized (as HitsMisses reports).
 	Hits, Misses int64
 	// ResultEvictions counts memoized results dropped to enforce
@@ -156,7 +154,6 @@ func keyOf(t *tree.Tree) treeKey { return treeKey{t: t, gen: t.Generation()} }
 type treeCacheEntry struct {
 	mu      sync.Mutex
 	nav     *Nav
-	dbs     map[Signature]*datalog.Database
 	results map[any]*datalog.Database
 }
 
@@ -183,7 +180,7 @@ func (c *TreeCache) entry(t *tree.Tree) *treeCacheEntry {
 				break
 			}
 		}
-		e = &treeCacheEntry{dbs: map[Signature]*datalog.Database{}}
+		e = &treeCacheEntry{}
 		c.entries[key] = e
 	}
 	return e
@@ -217,29 +214,6 @@ func (c *TreeCache) NavCached(t *tree.Tree) (*Nav, bool) {
 	}
 	c.count(hit)
 	return e.nav, hit
-}
-
-// DB returns the memoized TreeDB of t for the signature, materializing
-// it on first use. The returned database is shared and must be treated
-// as read-only.
-func (c *TreeCache) DB(t *tree.Tree, sig Signature) *datalog.Database {
-	db, _ := c.DBCached(t, sig)
-	return db
-}
-
-// DBCached is DB also reporting whether the database for this exact
-// signature was already materialized.
-func (c *TreeCache) DBCached(t *tree.Tree, sig Signature) (*datalog.Database, bool) {
-	e := c.entry(t)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	db, hit := e.dbs[sig]
-	if !hit {
-		db = sig.TreeDB(t)
-		e.dbs[sig] = db
-	}
-	c.count(hit)
-	return db, hit
 }
 
 // peek returns t's current-generation entry without creating one (and
@@ -300,7 +274,7 @@ func (c *TreeCache) maxResults() int {
 }
 
 // Contains reports whether t already has cached state (navigation
-// arrays or databases) at its current generation. Purely advisory: a
+// arrays or results) at its current generation. Purely advisory: a
 // concurrent Forget or eviction can invalidate the answer immediately.
 func (c *TreeCache) Contains(t *tree.Tree) bool {
 	key := keyOf(t)
@@ -338,7 +312,7 @@ func (c *TreeCache) Len() int {
 	return len(c.entries)
 }
 
-// HitsMisses reports how many Nav/DB lookups were served from memo
+// HitsMisses reports how many Nav lookups were served from memo
 // (hits) vs had to materialize (misses). Result-memo lookups are not
 // counted here; CompiledQuery.Stats tracks those.
 func (c *TreeCache) HitsMisses() (hits, misses int64) {

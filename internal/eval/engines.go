@@ -34,17 +34,6 @@ func EngineNames() []string {
 	return []string{"linear", "bitmap", "seminaive", "naive", "lit"}
 }
 
-// ValidEngine reports whether e is one of the defined engines — the
-// compile-time guard that keeps an out-of-range Engine value from
-// silently deferring its failure to the first run.
-func ValidEngine(e Engine) bool {
-	switch e {
-	case EngineLinear, EngineSemiNaive, EngineNaive, EngineLIT, EngineBitmap:
-		return true
-	}
-	return false
-}
-
 // String names the engine for CLI flags and error messages.
 func (e Engine) String() string {
 	switch e {

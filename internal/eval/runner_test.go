@@ -71,13 +71,13 @@ func TestTreeCache(t *testing.T) {
 	if n1 != n2 {
 		t.Error("Nav not memoized")
 	}
-	sig := Signature{Child: true}
-	d1, d2 := c.DB(tr, sig), c.DB(tr, sig)
-	if d1 != d2 {
-		t.Error("DB not memoized per signature")
+	db := TreeDB(tr)
+	c.SetResult(tr, "q1", db)
+	if got, ok := c.Result(tr, "q1"); !ok || got != db {
+		t.Error("result not memoized per key")
 	}
-	if d3 := c.DB(tr, Signature{Dom: true}); d3 == d1 {
-		t.Error("distinct signatures must not share a database")
+	if _, ok := c.Result(tr, "q2"); ok {
+		t.Error("distinct keys must not share a result")
 	}
 	if !c.Contains(tr) || c.Len() != 1 {
 		t.Error("cache bookkeeping wrong")
@@ -107,7 +107,8 @@ func TestTreeCacheConcurrent(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			navs[i] = c.Nav(tr)
-			c.DB(tr, Signature{Child: true})
+			c.SetResult(tr, i%4, TreeDB(tr))
+			c.Result(tr, (i+1)%4)
 		}(i)
 	}
 	wg.Wait()

@@ -1,7 +1,8 @@
 // Package opt is the compile-time optimizer for monadic datalog
 // programs: a pipeline of semantics-preserving rewrites run between a
 // front-end's translation (MSO, XPath, caterpillar, Elog → datalog /
-// TMNF) and plan preparation (eval.NewPlan or the generic engines).
+// TMNF) and plan preparation (eval.NewPlan / eval.NewBitmapPlan; the
+// reference engines run optimized programs in the differential tests).
 //
 // Theorem 4.2's O(|P|·|dom|) bound is linear in the RULE COUNT, and
 // every translation in this repository pays for that generality with
@@ -87,12 +88,6 @@ type Options struct {
 	// elimination and inlining then keep all user predicates and only
 	// the derivability / duplicate cleanups apply.
 	Roots []string
-	// KeepShape restricts the pipeline to passes that never change the
-	// syntactic shape of a surviving rule (no inlining). The Datalog
-	// LIT engine admits programs by rule shape (all-monadic or
-	// extensionally guarded, Proposition 3.7), so plans prepared for
-	// the generic engines must not fuse rules.
-	KeepShape bool
 	// MaxBodyAtoms caps the body size inlining may create
 	// (0: DefaultMaxBodyAtoms).
 	MaxBodyAtoms int
@@ -160,9 +155,7 @@ func Optimize(p *datalog.Program, o Options) (*datalog.Program, Report) {
 			changed = dedupAtoms(out, &rep) || changed
 			changed = eliminateDead(out, roots, &rep) || changed
 			changed = dedupRules(out, &rep) || changed
-			if !o.KeepShape {
-				changed = inlineSingleUse(out, roots, maxBody, &rep) || changed
-			}
+			changed = inlineSingleUse(out, roots, maxBody, &rep) || changed
 			if !changed {
 				break
 			}

@@ -57,10 +57,10 @@ type Config struct {
 	// "O0", "O1") applied to wrapper specs that do not set their own;
 	// empty means full optimization.
 	Opt string `json:"opt,omitempty"`
-	// Engine is the daemon-wide default evaluation engine ("linear",
-	// "bitmap", "seminaive", "naive", "lit") applied to wrapper specs
-	// that do not set their own; empty means linear. An unknown name
-	// fails the boot with an error listing the valid engines.
+	// Engine is the daemon-wide default serving engine ("linear" or
+	// "bitmap") applied to wrapper specs that do not set their own;
+	// empty means linear. Any other name, the reference engines'
+	// included, fails the boot with an error listing the valid engines.
 	Engine string `json:"engine,omitempty"`
 	// MaxSessions bounds live document sessions (0:
 	// DefaultMaxSessions; < 0: unbounded). At capacity, PUT
@@ -109,7 +109,7 @@ type ConfigWrapper struct {
 // body of PUT /wrappers/{name} and the inline part of a boot entry.
 type WrapperSpec struct {
 	// Lang is the source language ("datalog", "tmnf", "mso", "xpath",
-	// "caterpillar", "elog").
+	// "caterpillar", "elog", "spanner").
 	Lang mdlog.Language `json:"lang"`
 	// Source is the query text in that language.
 	Source string `json:"source"`
@@ -119,11 +119,11 @@ type WrapperSpec struct {
 	Extract []string `json:"extract,omitempty"`
 	// KeepText copies #text content into wrapped output trees.
 	KeepText bool `json:"keep_text,omitempty"`
-	// Engine selects the evaluation engine ("linear", "bitmap",
-	// "seminaive", "naive", "lit"; empty: the daemon default, which
-	// itself defaults to linear). Only datalog-routed plans honor it;
-	// an unknown name is rejected at compile time with an error
-	// listing the valid engines.
+	// Engine selects the serving engine ("linear" or "bitmap"; empty:
+	// the daemon default, which itself defaults to linear). Only
+	// datalog-routed plans honor it. Any other name, the reference
+	// engines seminaive, naive and lit included, is rejected at compile
+	// time with an error listing the valid engines (PUT answers 400).
 	Engine string `json:"engine,omitempty"`
 	// Opt sets the optimization level ("0", "1", "O0", "O1"; empty:
 	// the daemon default, which itself defaults to full).

@@ -72,9 +72,9 @@ type Server struct {
 	// wrapper specs that leave theirs empty ("" means library default,
 	// i.e. full optimization).
 	defaultOpt string
-	// defaultEngine is the daemon-wide evaluation engine applied to
-	// wrapper specs that leave theirs empty ("" means library default,
-	// i.e. the linear engine).
+	// defaultEngine is the daemon-wide serving engine (linear or
+	// bitmap) applied to wrapper specs that leave theirs empty (""
+	// means library default, i.e. the linear engine).
 	defaultEngine string
 
 	// Persistence (nil without a data dir): the registry snapshot on
@@ -274,7 +274,7 @@ func New(cfg *Config) (*Server, error) {
 }
 
 // withDefaults fills spec fields the daemon configures globally (the
-// optimization level and the evaluation engine) when the spec leaves
+// optimization level and the serving engine) when the spec leaves
 // them empty.
 func (s *Server) withDefaults(spec WrapperSpec) WrapperSpec {
 	if spec.Opt == "" {

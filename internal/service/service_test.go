@@ -604,21 +604,23 @@ func TestOptimizerObservability(t *testing.T) {
 	}
 }
 
-// TestWrapperSpecEngineOpt: specs select engines and optimization
-// levels, invalid values fail compilation, and the daemon-wide default
-// applies to specs that leave opt empty.
+// TestWrapperSpecEngineOpt: specs select serving engines and
+// optimization levels, invalid values — the reference engines
+// included — fail compilation, and the daemon-wide default applies to
+// specs that leave opt empty.
 func TestWrapperSpecEngineOpt(t *testing.T) {
-	ws := WrapperSpec{Lang: mdlog.LangElog, Source: elogSrc, Engine: "seminaive"}
-	if _, err := ws.Compile(); err != nil {
-		t.Fatalf("seminaive spec: %v", err)
+	ws := WrapperSpec{Lang: mdlog.LangElog, Source: elogSrc}
+	for _, engine := range []string{"linear", "bitmap"} {
+		ws.Engine = engine
+		if _, err := ws.Compile(); err != nil {
+			t.Fatalf("%s spec: %v", engine, err)
+		}
 	}
-	ws.Engine = "bitmap"
-	if _, err := ws.Compile(); err != nil {
-		t.Fatalf("bitmap spec: %v", err)
-	}
-	ws.Engine = "warp"
-	if _, err := ws.Compile(); err == nil || !strings.Contains(err.Error(), "valid engines: linear, bitmap") {
-		t.Errorf("bad engine must name the valid options, got %v", err)
+	for _, engine := range []string{"warp", "seminaive", "naive", "lit"} {
+		ws.Engine = engine
+		if _, err := ws.Compile(); err == nil || !strings.HasSuffix(err.Error(), "(valid engines: linear, bitmap)") {
+			t.Errorf("engine %q must be refused naming the valid options, got %v", engine, err)
+		}
 	}
 	ws.Engine = ""
 	ws.Opt = "nope"
@@ -654,10 +656,50 @@ func TestWrapperSpecEngineOpt(t *testing.T) {
 	if got := wr.Query.EngineName(); got != "bitmap" {
 		t.Errorf("daemon default engine not applied: wrapper runs on %q", got)
 	}
-	bad = bootConfig()
-	bad.Engine = "warp"
-	if _, err := New(bad); err == nil {
-		t.Error("invalid daemon engine default must fail boot")
+	for _, engine := range []string{"warp", "naive"} {
+		bad = bootConfig()
+		bad.Engine = engine
+		if _, err := New(bad); err == nil || !strings.HasSuffix(err.Error(), "(valid engines: linear, bitmap)") {
+			t.Errorf("daemon engine default %q must fail boot naming the valid options, got %v", engine, err)
+		}
+		bad = bootConfig()
+		bad.Wrappers[0].Engine = engine
+		if _, err := New(bad); err == nil || !strings.HasSuffix(err.Error(), "(valid engines: linear, bitmap)") {
+			t.Errorf("boot wrapper engine %q must fail boot naming the valid options, got %v", engine, err)
+		}
+	}
+
+	// PUT /wrappers with a reference engine is a 400 naming the serving
+	// engines, and registers nothing.
+	_, ts := newTestServer(t, nil)
+	status, body := doJSON(t, http.MethodPut, ts.URL+"/wrappers/x", `{"lang":"xpath","source":"//td","engine":"lit"}`)
+	if msg, _ := body["error"].(string); status != http.StatusBadRequest || !strings.HasSuffix(msg, "(valid engines: linear, bitmap)") {
+		t.Errorf("PUT engine lit: status %d body %v, want 400 naming linear, bitmap", status, body)
+	}
+	if status, _ := doJSON(t, http.MethodGet, ts.URL+"/wrappers/x", ""); status != http.StatusNotFound {
+		t.Errorf("rejected wrapper registered anyway: GET status %d", status)
+	}
+
+	// A stored wrapper naming a reference engine fails the boot too.
+	dir := t.TempDir()
+	_, ts = newTestServer(t, &Config{DataDir: dir})
+	if status, body := doJSON(t, http.MethodPut, ts.URL+"/wrappers/x", `{"lang":"xpath","source":"//td","engine":"linear"}`); status != http.StatusCreated {
+		t.Fatalf("PUT: status %d body %v", status, body)
+	}
+	path := filepath.Join(dir, storeFileName)
+	snap, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := strings.Replace(string(snap), `"linear"`, `"naive"`, 1)
+	if edited == string(snap) {
+		t.Fatalf("snapshot does not record the engine:\n%s", snap)
+	}
+	if err := os.WriteFile(path, []byte(edited), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(&Config{DataDir: dir}); err == nil || !strings.HasSuffix(err.Error(), "(valid engines: linear, bitmap)") {
+		t.Errorf("stored engine naive must fail boot naming the valid options, got %v", err)
 	}
 }
 

@@ -124,9 +124,11 @@ func (st *sessionStore) snapshot() []*session {
 }
 
 // releaseSession drops every cache entry keyed by the session's tree
-// (the fused set's and each wrapper's), so a closed session's arena is
-// unreachable and collectible — nothing in the daemon may pin it.
+// or its fallback snapshot (the fused set's and each wrapper's), so a
+// closed session's arena is unreachable and collectible — nothing in
+// the daemon may pin it.
 func (s *Server) releaseSession(ss *session) {
+	ss.doc.Release()
 	s.forgetTree(ss.doc.Tree())
 }
 

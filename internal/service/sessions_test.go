@@ -245,3 +245,43 @@ func TestSessionDeleteFreesArena(t *testing.T) {
 		t.Fatal("closed session's arena is still reachable")
 	}
 }
+
+// TestSessionReleaseForgetsSnapshots: an MSO wrapper runs on each edit
+// generation's live-tree snapshot and memoizes there; closing the
+// session must leave no entry for any of the session's trees in the
+// fused set's cache or any wrapper's.
+func TestSessionReleaseForgetsSnapshots(t *testing.T) {
+	s, url := sessionServer(t, &Config{Wrappers: []ConfigWrapper{
+		{Name: "mso", WrapperSpec: WrapperSpec{Lang: mdlog.LangMSO, Source: `label_li(x)`}},
+	}})
+	for i := 0; i < 5; i++ {
+		res := extractAllSession(t, url, "page")
+		if len(res["mso"]) != len(res["items"]) {
+			t.Fatalf("edit %d: mso %v, items %v", i, res["mso"], res["items"])
+		}
+		code, v := doJSON(t, "PATCH", url+"/documents/page",
+			fmt.Sprintf(`{"ops":[{"op":"insert","parent":%d,"pos":9,"term":"li"}]}`, res["lists"][0]))
+		if code != http.StatusOK {
+			t.Fatalf("PATCH: %d (%v)", code, v)
+		}
+	}
+	extractAllSession(t, url, "page")
+	set, err := s.querySet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if set.Cache().Len() == 0 {
+		t.Fatal("the MSO member memoized nothing; the test exercises no snapshot")
+	}
+	if code, _ := doJSON(t, "DELETE", url+"/documents/page", ""); code != http.StatusNoContent {
+		t.Fatal("DELETE failed")
+	}
+	if n := set.Cache().Len(); n != 0 {
+		t.Errorf("set cache holds %d entries after release, want 0", n)
+	}
+	for _, wr := range s.Registry().Snapshot() {
+		if c := wr.Query.Cache(); c != nil && c.Len() != 0 {
+			t.Errorf("wrapper %s cache holds %d entries after release, want 0", wr.Name, c.Len())
+		}
+	}
+}

@@ -50,6 +50,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 
 	"mdlog/internal/caterpillar"
 	"mdlog/internal/datalog"
@@ -114,34 +115,51 @@ func ParseProgram(src string) (*Program, error) { return datalog.ParseProgram(sr
 // TreeDB materializes τ_ur (see eval options for extensions).
 func TreeDB(t *Tree, opts ...eval.TreeDBOption) *Database { return eval.TreeDB(t, opts...) }
 
-// Evaluation engines (Sections 3.2 and 4.1).
+// Evaluation engines (Sections 3.2 and 4.1). Compile serves with the
+// two grounding engines, EngineLinear and EngineBitmap; the
+// set-oriented engines are one-shot reference oracles reachable
+// through EvalOnTree only.
 type Engine = eval.Engine
 
 const (
 	// EngineLinear is the Theorem 4.2 O(|P|·|dom|) engine.
 	EngineLinear = eval.EngineLinear
-	// EngineSemiNaive is generic semi-naive evaluation.
+	// EngineSemiNaive is generic semi-naive evaluation (reference).
 	EngineSemiNaive = eval.EngineSemiNaive
-	// EngineNaive is the reference naive fixpoint.
+	// EngineNaive is the reference naive fixpoint (Definition 3.1).
 	EngineNaive = eval.EngineNaive
-	// EngineLIT is the monadic Datalog LIT engine (Proposition 3.7).
+	// EngineLIT is the monadic Datalog LIT engine (Proposition 3.7;
+	// reference).
 	EngineLIT = eval.EngineLIT
 	// EngineBitmap evaluates the same Theorem 4.2 fragment as
 	// EngineLinear as bulk bitset algebra over the arena columns.
 	EngineBitmap = eval.EngineBitmap
 )
 
-// ParseEngineFlag converts a CLI flag value ("linear", "bitmap",
-// "seminaive", "naive", "lit") into an Engine.
-func ParseEngineFlag(s string) (Engine, error) { return eval.ParseEngine(s) }
+// ParseEngineFlag converts a serving-engine flag value ("linear" or
+// "bitmap") into an Engine; any other name, the reference engines'
+// included, is an error naming the valid engines.
+func ParseEngineFlag(s string) (Engine, error) {
+	for _, e := range servingEngines {
+		if s == e.String() {
+			return e, nil
+		}
+	}
+	return 0, fmt.Errorf("mdlog: %q is not a serving engine (valid engines: %s)", s, servingEngineList())
+}
 
 // EvalOnTree evaluates a monadic program on a tree with the chosen
-// engine, returning the intensional relations.
+// engine, returning the intensional relations. The serving engines
+// compile through CompileProgram (TMNF included); the reference
+// engines (seminaive, naive, lit) evaluate the program as given.
 //
-// It is a single-shot shim over the compile-once path: each call pays
-// the full preparation cost. Use CompileProgram + CompiledQuery.Eval
-// to amortize it over many documents.
+// It is a single-shot shim: each call pays the full preparation cost.
+// Use CompileProgram + CompiledQuery.Eval to amortize it over many
+// documents.
 func EvalOnTree(p *Program, t *Tree, e Engine) (*Database, error) {
+	if !slices.Contains(servingEngines, e) {
+		return eval.EvalOnTree(p, t, e)
+	}
 	q, err := CompileProgram(p, WithEngine(e), WithoutCache())
 	if err != nil {
 		return nil, err

@@ -216,13 +216,12 @@ type compileConfig struct {
 	optLevel  OptLevel
 }
 
-// WithEngine selects the datalog evaluation engine (default
-// EngineLinear). Only plans that execute datalog honor it; the MSO
-// automaton and the direct XPath/Elog⁻Δ evaluators ignore it. The
-// grounding engines (EngineLinear, EngineBitmap) apply to every
-// datalog-routed language; the set-oriented engines (seminaive,
-// naive, lit) apply to datalog and Elog⁻ sources. An Engine value
-// outside the defined set fails compilation (no silent fallback).
+// WithEngine selects the serving engine for datalog-routed plans:
+// EngineLinear (the default) or EngineBitmap, honored by every
+// datalog-routed language; the MSO automaton and the direct
+// XPath/Elog⁻Δ evaluators ignore it. Any other Engine value — the
+// reference engines seminaive, naive and lit included — fails
+// compilation (no silent fallback); EvalOnTree runs those.
 func WithEngine(e Engine) Option { return func(c *compileConfig) { c.engine = e } }
 
 // WithQueryPred sets the predicate Select reads (default: the
@@ -241,7 +240,7 @@ func WithWrapOptions(o WrapOptions) Option { return func(c *compileConfig) { c.w
 func WithCache(tc *TreeCache) Option { return func(c *compileConfig) { c.cache = tc } }
 
 // WithoutCache disables per-document memoization: every run rebuilds
-// its navigation arrays and tree database.
+// its navigation arrays.
 func WithoutCache() Option { return func(c *compileConfig) { c.noCache = true } }
 
 // WithOptLevel sets the compile-time optimization level (default
@@ -365,13 +364,20 @@ func newPlanKey(p *Program, engine Engine, project []string) planKey {
 // evaluator), and prepares the execution plan. The result amortizes
 // all of that across every later Select / Eval / Wrap call.
 func Compile(src string, lang Language, opts ...Option) (*CompiledQuery, error) {
+	fe, ok := frontEnds[lang]
+	if !ok {
+		if lang == langInvalid {
+			return nil, fmt.Errorf("mdlog: no query language specified (want %s)", languageList())
+		}
+		return nil, fmt.Errorf("mdlog: unknown language %v", lang)
+	}
 	start := time.Now()
-	build, err := parseSource(src, lang, opts)
+	ast, err := fe.parse(src)
 	if err != nil {
 		return nil, err
 	}
 	parse := time.Since(start)
-	q, err := build()
+	q, err := compile(lang, ast, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -380,51 +386,131 @@ func Compile(src string, lang Language, opts ...Option) (*CompiledQuery, error) 
 	return q, nil
 }
 
-// parseSource parses src and returns the deferred AST-level compile
-// step, so Compile has exactly one success path for all languages.
-func parseSource(src string, lang Language, opts []Option) (func() (*CompiledQuery, error), error) {
-	switch lang {
-	case LangDatalog, LangTMNF:
-		p, err := datalog.ParseProgram(src)
-		if err != nil {
-			return nil, err
-		}
-		return func() (*CompiledQuery, error) { return compileDatalog(p, lang, newConfig(opts)) }, nil
-	case LangMSO:
-		f, err := mso.Parse(src)
-		if err != nil {
-			return nil, err
-		}
-		return func() (*CompiledQuery, error) { return CompileMSO(f, opts...) }, nil
-	case LangXPath:
-		x, err := xpath.Parse(src)
-		if err != nil {
-			return nil, err
-		}
-		return func() (*CompiledQuery, error) { return CompileXPath(x, opts...) }, nil
-	case LangCaterpillar:
-		e, err := caterpillar.Parse(src)
-		if err != nil {
-			return nil, err
-		}
-		return func() (*CompiledQuery, error) { return CompileCaterpillar(e, opts...) }, nil
-	case LangElog:
-		p, err := elog.ParseProgram(src)
-		if err != nil {
-			return nil, err
-		}
-		return func() (*CompiledQuery, error) { return CompileElog(p, opts...) }, nil
-	case LangSpanner:
-		p, err := span.ParseProgram(src)
-		if err != nil {
-			return nil, err
-		}
-		return func() (*CompiledQuery, error) { return CompileSpanner(p, opts...) }, nil
+// CompileProgram prepares an already-parsed monadic datalog program
+// (the AST-level twin of Compile(src, LangDatalog)).
+func CompileProgram(p *Program, opts ...Option) (*CompiledQuery, error) {
+	return compile(LangDatalog, p, opts)
+}
+
+// CompileMSO prepares an already-parsed unary MSO formula.
+func CompileMSO(f MSOFormula, opts ...Option) (*CompiledQuery, error) {
+	return compile(LangMSO, f, opts)
+}
+
+// CompileXPath prepares an already-parsed Core XPath query.
+func CompileXPath(x *XPath, opts ...Option) (*CompiledQuery, error) {
+	return compile(LangXPath, x, opts)
+}
+
+// CompileCaterpillar prepares a caterpillar expression as the unary
+// query root.E (Corollary 5.12).
+func CompileCaterpillar(e CaterpillarExpr, opts ...Option) (*CompiledQuery, error) {
+	return compile(LangCaterpillar, e, opts)
+}
+
+// CompileElog prepares an already-parsed Elog⁻ / Elog⁻Δ program.
+func CompileElog(p *ElogProgram, opts ...Option) (*CompiledQuery, error) {
+	return compile(LangElog, p, opts)
+}
+
+// translation is one language's front-end output and the input of the
+// shared compile skeleton. A datalog-routed language sets prog and
+// visible; a language without a datalog route for this source sets
+// direct instead (the MSO automaton, XPath with not(·), Elog⁻Δ).
+type translation struct {
+	prog *Program
+	// visible is the optimizer's root set and the projection applied
+	// to engine results (see visiblePreds).
+	visible []string
+	// tmnf rewrites prog to TMNF even when it does not use child/2:
+	// the Core XPath and Elog⁻ routes are defined through the normal
+	// form (Corollary 6.4).
+	tmnf bool
+	// direct is the prepared plan of a source with no datalog route.
+	direct queryPlan
+	// wrap, if set, decorates the prepared plan (the spanner's span
+	// evaluator on top of its node part).
+	wrap func(queryPlan) queryPlan
+
+	queryPred string
+	extract   []string
+}
+
+// frontEnd is one language's translator-table entry: parse reads
+// source text into the AST its Compile* twin accepts, translate maps
+// that AST onto a translation.
+type frontEnd struct {
+	parse     func(src string) (any, error)
+	translate func(ast any, cfg *compileConfig) (*translation, error)
+}
+
+// frontEndOf adapts a typed parser/translator pair to a table entry.
+func frontEndOf[A any](parse func(string) (A, error), translate func(A, *compileConfig) (*translation, error)) frontEnd {
+	return frontEnd{
+		parse: func(src string) (any, error) { return parse(src) },
+		translate: func(ast any, cfg *compileConfig) (*translation, error) {
+			a, _ := ast.(A) // a nil AST reaches the translator as A's zero value
+			return translate(a, cfg)
+		},
 	}
-	if lang == langInvalid {
-		return nil, fmt.Errorf("mdlog: no query language specified (want %s)", languageList())
+}
+
+// frontEnds is the per-language translator table: adding a language
+// is one entry here plus one in languageNames.
+var frontEnds = map[Language]frontEnd{
+	LangDatalog:     frontEndOf(datalog.ParseProgram, translateDatalog),
+	LangTMNF:        frontEndOf(datalog.ParseProgram, translateTMNF),
+	LangMSO:         frontEndOf(mso.Parse, translateMSO),
+	LangXPath:       frontEndOf(xpath.Parse, translateXPath),
+	LangCaterpillar: frontEndOf(caterpillar.Parse, translateCaterpillar),
+	LangElog:        frontEndOf(elog.ParseProgram, translateElog),
+	LangSpanner:     frontEndOf(span.ParseProgram, translateSpanner),
+}
+
+// compile is the one compile skeleton behind Compile and every
+// AST-level Compile* twin: config, engine check, the language's
+// translation, and for datalog-routed sources TMNF (Theorem 5.2) when
+// the program uses child/2, the optimizer, the grounding plan and its
+// result-memo key.
+func compile(lang Language, ast any, opts []Option) (*CompiledQuery, error) {
+	cfg := newConfig(opts)
+	start := time.Now()
+	if err := cfg.checkEngine(); err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("mdlog: unknown language %v", lang)
+	tr, err := frontEnds[lang].translate(ast, cfg)
+	if err != nil {
+		return nil, err
+	}
+	plan := tr.direct
+	var report OptReport
+	var memoKey any
+	if tr.prog != nil {
+		np := tr.prog
+		// The grounding engines cannot use child/2 (no functional
+		// dependency, Proposition 4.1); the visible-predicate
+		// projection keeps the tm_* auxiliaries out of the results.
+		if tr.tmnf || eval.SignatureOf(np).Child {
+			if np, err = tmnf.Transform(np); err != nil {
+				return nil, err
+			}
+		}
+		np, report = opt.Optimize(np, opt.Options{Level: cfg.optLevel, Roots: tr.visible})
+		if plan, err = groundPlan(np, cfg.engine, tr.visible); err != nil {
+			return nil, err
+		}
+		memoKey = newPlanKey(np, cfg.engine, tr.visible)
+	}
+	if tr.wrap != nil {
+		plan = tr.wrap(plan)
+	}
+	q := cfg.newQuery(lang, plan, tr.queryPred, tr.extract)
+	q.optReport = report
+	if memoKey != nil {
+		q.memoKey = memoKey
+	}
+	q.setCompile(time.Since(start))
+	return q, nil
 }
 
 func newConfig(opts []Option) *compileConfig {
@@ -433,6 +519,40 @@ func newConfig(opts []Option) *compileConfig {
 		o(cfg)
 	}
 	return cfg
+}
+
+// servingEngines are the engines Compile accepts: the two that execute
+// prepared Theorem 4.2 grounding plans. The set-oriented engines
+// (semi-naive, naive, LIT) are reference oracles, reachable through
+// EvalOnTree only.
+var servingEngines = []Engine{EngineLinear, EngineBitmap}
+
+// servingEngineList renders servingEngines for error and help text.
+func servingEngineList() string {
+	names := make([]string, len(servingEngines))
+	for i, e := range servingEngines {
+		names[i] = e.String()
+	}
+	return strings.Join(names, ", ")
+}
+
+// checkEngine rejects every engine but the serving ones at compile
+// time, naming the valid engines — no engine defers its failure to the
+// first run or silently falls back.
+func (cfg *compileConfig) checkEngine() error {
+	if !slices.Contains(servingEngines, cfg.engine) {
+		return fmt.Errorf("mdlog: %v is not a serving engine (valid engines: %s)", cfg.engine, servingEngineList())
+	}
+	return nil
+}
+
+// defaultPred is the query predicate of languages without a natural
+// one: WithQueryPred's, else DefaultQueryPred.
+func (cfg *compileConfig) defaultPred() string {
+	if cfg.queryPred != "" {
+		return cfg.queryPred
+	}
+	return DefaultQueryPred
 }
 
 // visiblePreds computes the predicates whose extensions a caller can
@@ -456,6 +576,84 @@ func visiblePreds(p *Program, cfg *compileConfig, all []string) []string {
 		}
 	}
 	return vis
+}
+
+func translateDatalog(p *Program, cfg *compileConfig) (*translation, error) {
+	extract := p.IntensionalPreds()
+	return &translation{prog: p, visible: visiblePreds(p, cfg, extract), queryPred: p.Query, extract: extract}, nil
+}
+
+// translateTMNF validates the shape instead of normalizing.
+func translateTMNF(p *Program, cfg *compileConfig) (*translation, error) {
+	if err := tmnf.IsTMNF(p); err != nil {
+		return nil, err
+	}
+	return translateDatalog(p, cfg)
+}
+
+func translateMSO(f MSOFormula, cfg *compileConfig) (*translation, error) {
+	uq, err := mso.CompileQuery(f)
+	if err != nil {
+		return nil, err
+	}
+	pred := cfg.defaultPred()
+	return &translation{direct: &msoPlan{q: uq, pred: pred}, queryPred: pred, extract: []string{pred}}, nil
+}
+
+func translateXPath(x *XPath, cfg *compileConfig) (*translation, error) {
+	pred := cfg.defaultPred()
+	tr := &translation{visible: []string{pred}, tmnf: true, queryPred: pred, extract: []string{pred}}
+	if x.HasNegation() {
+		// not(·) has no positive datalog translation; use the direct
+		// evaluator (reference semantics).
+		tr.direct = &xpathDirectPlan{x: x, pred: pred}
+		return tr, nil
+	}
+	dp, err := xpath.ToDatalog(x, pred)
+	if err != nil {
+		return nil, err
+	}
+	tr.prog = dp
+	return tr, nil
+}
+
+func translateCaterpillar(e CaterpillarExpr, cfg *compileConfig) (*translation, error) {
+	pred := cfg.defaultPred()
+	return &translation{prog: caterpillar.QueryProgram(e, pred), visible: []string{pred},
+		queryPred: pred, extract: []string{pred}}, nil
+}
+
+func translateElog(p *ElogProgram, cfg *compileConfig) (*translation, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	patterns := p.Patterns()
+	// Effective extraction list: WithExtract > program Extract > all
+	// patterns; a unique entry doubles as Select's distinguished
+	// pattern (Select errors with guidance otherwise).
+	extract := p.Extract
+	if len(cfg.extract) > 0 {
+		extract = cfg.extract
+	}
+	if len(extract) == 0 {
+		extract = patterns
+	}
+	tr := &translation{visible: patterns, tmnf: true, extract: extract}
+	if len(extract) == 1 {
+		tr.queryPred = extract[0]
+	} else if len(patterns) == 1 {
+		tr.queryPred = patterns[0]
+	}
+	if p.UsesDelta() {
+		tr.direct = &elogDirectPlan{prog: p, patterns: patterns}
+		return tr, nil
+	}
+	dp, err := p.ToDatalog() // TMNF follows in the skeleton (Corollary 6.4)
+	if err != nil {
+		return nil, err
+	}
+	tr.prog = dp
+	return tr, nil
 }
 
 func (cfg *compileConfig) newQuery(lang Language, plan queryPlan, queryPred string, extract []string) *CompiledQuery {
@@ -485,28 +683,6 @@ func (q *CompiledQuery) setParse(d time.Duration) { q.agg.parse.Store(int64(d)) 
 
 func (q *CompiledQuery) setCompile(d time.Duration) { q.agg.compile.Store(int64(d)) }
 
-// CompileProgram prepares an already-parsed monadic datalog program
-// (the AST-level twin of Compile(src, LangDatalog)).
-func CompileProgram(p *Program, opts ...Option) (*CompiledQuery, error) {
-	return compileDatalog(p, LangDatalog, newConfig(opts))
-}
-
-// checkEngine rejects Engine values outside the defined set at
-// compile time, naming the valid engines — an unknown engine must
-// never defer its failure to the first run (or silently fall back).
-func (cfg *compileConfig) checkEngine() error {
-	if !eval.ValidEngine(cfg.engine) {
-		return fmt.Errorf("mdlog: unknown engine %v (valid engines: %s)",
-			cfg.engine, strings.Join(eval.EngineNames(), ", "))
-	}
-	return nil
-}
-
-// isGroundingEngine reports whether the engine executes prepared
-// Theorem 4.2 grounding plans (per-rule anchor propagation) rather
-// than set-oriented relational evaluation.
-func isGroundingEngine(e Engine) bool { return e == EngineLinear || e == EngineBitmap }
-
 // groundPlan prepares an already-normalized program for one of the
 // two grounding engines: the Theorem 4.2 linear engine or its
 // columnar bitmap counterpart.
@@ -523,235 +699,6 @@ func groundPlan(np *Program, engine Engine, project []string) (queryPlan, error)
 		return nil, err
 	}
 	return &linearPlan{plan: pl, project: project}, nil
-}
-
-func compileDatalog(p *Program, lang Language, cfg *compileConfig) (*CompiledQuery, error) {
-	start := time.Now()
-	if err := cfg.checkEngine(); err != nil {
-		return nil, err
-	}
-	extract := p.IntensionalPreds()
-	if lang == LangTMNF {
-		if err := tmnf.IsTMNF(p); err != nil {
-			return nil, err
-		}
-	}
-	visible := visiblePreds(p, cfg, extract)
-	var plan queryPlan
-	var report OptReport
-	var memoKey any
-	if isGroundingEngine(cfg.engine) {
-		np := p
-		// Normalize: the grounding engines cannot use child/2 (no
-		// functional dependency, Proposition 4.1); Theorem 5.2
-		// eliminates it. The visible-predicate projection keeps the
-		// tm_* auxiliaries out of the result relations.
-		if lang == LangDatalog && eval.SignatureOf(p).Child {
-			tp, err := tmnf.Transform(p)
-			if err != nil {
-				return nil, err
-			}
-			np = tp
-		}
-		np, report = opt.Optimize(np, opt.Options{Level: cfg.optLevel, Roots: visible})
-		pl, err := groundPlan(np, cfg.engine, visible)
-		if err != nil {
-			return nil, err
-		}
-		plan = pl
-		memoKey = newPlanKey(np, cfg.engine, visible)
-	} else {
-		if err := p.Check(); err != nil {
-			return nil, err
-		}
-		// The set-oriented engines admit programs by rule shape
-		// (Datalog LIT most strictly), so the optimizer must not fuse
-		// rules here; the goal-directed and deduplication passes still
-		// apply.
-		op, rep := opt.Optimize(p, opt.Options{Level: cfg.optLevel, Roots: visible, KeepShape: true})
-		report = rep
-		plan = &genericPlan{prog: op, engine: cfg.engine, sig: eval.GenericSignature(op), project: visible}
-		memoKey = newPlanKey(op, cfg.engine, visible)
-	}
-	q := cfg.newQuery(lang, plan, p.Query, extract)
-	q.optReport = report
-	q.memoKey = memoKey
-	q.setCompile(time.Since(start))
-	return q, nil
-}
-
-// CompileMSO prepares an already-parsed unary MSO formula.
-func CompileMSO(f MSOFormula, opts ...Option) (*CompiledQuery, error) {
-	cfg := newConfig(opts)
-	start := time.Now()
-	if err := cfg.checkEngine(); err != nil {
-		return nil, err
-	}
-	uq, err := mso.CompileQuery(f)
-	if err != nil {
-		return nil, err
-	}
-	pred := cfg.queryPred
-	if pred == "" {
-		pred = DefaultQueryPred
-	}
-	q := cfg.newQuery(LangMSO, &msoPlan{q: uq, pred: pred}, pred, []string{pred})
-	q.setCompile(time.Since(start))
-	return q, nil
-}
-
-// CompileXPath prepares an already-parsed Core XPath query.
-func CompileXPath(x *XPath, opts ...Option) (*CompiledQuery, error) {
-	cfg := newConfig(opts)
-	start := time.Now()
-	if err := cfg.checkEngine(); err != nil {
-		return nil, err
-	}
-	pred := cfg.queryPred
-	if pred == "" {
-		pred = DefaultQueryPred
-	}
-	// XPath always routes through the TMNF translation, so only the
-	// choice between the two grounding engines applies; the
-	// set-oriented engines are ignored as documented on WithEngine.
-	engine := EngineLinear
-	if cfg.engine == EngineBitmap {
-		engine = EngineBitmap
-	}
-	var plan queryPlan
-	var report OptReport
-	var memoKey any
-	if x.HasNegation() {
-		// not(·) has no positive datalog translation; use the direct
-		// evaluator (reference semantics).
-		plan = &xpathDirectPlan{x: x, pred: pred}
-	} else {
-		dp, err := xpath.ToDatalog(x, pred)
-		if err != nil {
-			return nil, err
-		}
-		tp, err := tmnf.Transform(dp)
-		if err != nil {
-			return nil, err
-		}
-		tp, report = opt.Optimize(tp, opt.Options{Level: cfg.optLevel, Roots: []string{pred}})
-		pl, err := groundPlan(tp, engine, []string{pred})
-		if err != nil {
-			return nil, err
-		}
-		plan = pl
-		memoKey = newPlanKey(tp, engine, []string{pred})
-	}
-	q := cfg.newQuery(LangXPath, plan, pred, []string{pred})
-	q.optReport = report
-	if memoKey != nil {
-		q.memoKey = memoKey
-	}
-	q.setCompile(time.Since(start))
-	return q, nil
-}
-
-// CompileCaterpillar prepares a caterpillar expression as the unary
-// query root.E (Corollary 5.12).
-func CompileCaterpillar(e CaterpillarExpr, opts ...Option) (*CompiledQuery, error) {
-	cfg := newConfig(opts)
-	start := time.Now()
-	if err := cfg.checkEngine(); err != nil {
-		return nil, err
-	}
-	pred := cfg.queryPred
-	if pred == "" {
-		pred = DefaultQueryPred
-	}
-	// As with XPath: grounding-engine choice applies, set-oriented
-	// engines are ignored.
-	engine := EngineLinear
-	if cfg.engine == EngineBitmap {
-		engine = EngineBitmap
-	}
-	cp := caterpillar.QueryProgram(e, pred)
-	if eval.SignatureOf(cp).Child {
-		tp, err := tmnf.Transform(cp)
-		if err != nil {
-			return nil, err
-		}
-		cp = tp
-	}
-	cp, report := opt.Optimize(cp, opt.Options{Level: cfg.optLevel, Roots: []string{pred}})
-	pl, err := groundPlan(cp, engine, []string{pred})
-	if err != nil {
-		return nil, err
-	}
-	q := cfg.newQuery(LangCaterpillar, pl, pred, []string{pred})
-	q.optReport = report
-	q.memoKey = newPlanKey(cp, engine, []string{pred})
-	q.setCompile(time.Since(start))
-	return q, nil
-}
-
-// CompileElog prepares an already-parsed Elog⁻ / Elog⁻Δ program.
-func CompileElog(p *ElogProgram, opts ...Option) (*CompiledQuery, error) {
-	cfg := newConfig(opts)
-	start := time.Now()
-	if err := cfg.checkEngine(); err != nil {
-		return nil, err
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	patterns := p.Patterns()
-	// Effective extraction list: WithExtract > program Extract > all
-	// patterns; a unique entry doubles as Select's distinguished
-	// pattern (Select errors with guidance otherwise).
-	extract := p.Extract
-	if len(cfg.extract) > 0 {
-		extract = cfg.extract
-	}
-	if len(extract) == 0 {
-		extract = patterns
-	}
-	pred := ""
-	if len(extract) == 1 {
-		pred = extract[0]
-	} else if len(patterns) == 1 {
-		pred = patterns[0]
-	}
-	var plan queryPlan
-	var report OptReport
-	var memoKey any
-	switch {
-	case p.UsesDelta():
-		plan = &elogDirectPlan{prog: p, patterns: patterns}
-	case !isGroundingEngine(cfg.engine):
-		// WithEngine routes the Theorem 6.4 datalog translation (which
-		// may use child/2) through the set-oriented engines.
-		dp, err := p.ToDatalog()
-		if err != nil {
-			return nil, err
-		}
-		dp, report = opt.Optimize(dp, opt.Options{Level: cfg.optLevel, Roots: patterns, KeepShape: true})
-		plan = &genericPlan{prog: dp, engine: cfg.engine, sig: eval.GenericSignature(dp), project: patterns}
-		memoKey = newPlanKey(dp, cfg.engine, patterns)
-	default:
-		dp, err := p.CompileLinear() // ToDatalog + TMNF (Corollary 6.4)
-		if err != nil {
-			return nil, err
-		}
-		dp, report = opt.Optimize(dp, opt.Options{Level: cfg.optLevel, Roots: patterns})
-		pl, err := groundPlan(dp, cfg.engine, patterns)
-		if err != nil {
-			return nil, err
-		}
-		plan = pl
-		memoKey = newPlanKey(dp, cfg.engine, patterns)
-	}
-	q := cfg.newQuery(LangElog, plan, pred, extract)
-	q.optReport = report
-	if memoKey != nil {
-		q.memoKey = memoKey
-	}
-	q.setCompile(time.Since(start))
-	return q, nil
 }
 
 // Language returns the source language the query was compiled from.
@@ -771,8 +718,8 @@ func (q *CompiledQuery) ExtractPreds() []string { return append([]string(nil), q
 func (q *CompiledQuery) Cache() *TreeCache { return q.cache }
 
 // EngineName reports which engine executes this query's plan:
-// a datalog engine name ("linear", "bitmap", "seminaive", ...) or one
-// of the direct evaluators ("automaton", "xpath-direct",
+// a serving engine name ("linear", "bitmap") or one of the direct
+// evaluators ("automaton", "xpath-direct",
 // "elog-direct"). It is the value per-run Stats carry in Engine.
 func (q *CompiledQuery) EngineName() string { return q.plan.engineName() }
 
@@ -977,62 +924,6 @@ func runGrounding(ctx context.Context, t *Tree, cache *TreeCache, engine string,
 		db = db.Project(project)
 	}
 	return db, rs, nil
-}
-
-// genericPlan routes through the set-oriented engines (semi-naive,
-// naive, LIT) over a materialized — and memoized — tree database.
-// project lists the visible predicates, so every engine (LIT's
-// connected-splitting helpers included) exposes the same relations as
-// the linear plan.
-type genericPlan struct {
-	prog    *datalog.Program
-	engine  Engine
-	sig     eval.Signature
-	project []string
-}
-
-func (p *genericPlan) engineName() string { return p.engine.String() }
-
-func (p *genericPlan) run(ctx context.Context, t *Tree, cache *TreeCache) (*Database, Stats, error) {
-	rs := Stats{Engine: p.engineName()}
-	if err := ctx.Err(); err != nil {
-		return nil, rs, err
-	}
-	var edb *Database
-	start := time.Now()
-	if cache != nil {
-		var hit bool
-		edb, hit = cache.DBCached(t, p.sig)
-		if hit {
-			rs.CacheHits = 1
-		}
-	} else {
-		edb = p.sig.TreeDB(t)
-	}
-	rs.Materialize = time.Since(start)
-	start = time.Now()
-	var full *Database
-	var err error
-	switch p.engine {
-	case EngineSemiNaive:
-		full, err = datalog.SemiNaiveEval(p.prog, edb)
-	case EngineNaive:
-		full, err = datalog.NaiveEval(p.prog, edb)
-	case EngineLIT:
-		full, err = eval.LITEval(p.prog, edb)
-	default:
-		err = fmt.Errorf("mdlog: engine %v is not supported by the generic plan", p.engine)
-	}
-	rs.Eval = time.Since(start)
-	if err != nil {
-		return nil, rs, err
-	}
-	if p.project != nil {
-		full = full.Project(p.project)
-	} else {
-		full = full.Project(p.prog.IntensionalPreds())
-	}
-	return full, rs, nil
 }
 
 // msoPlan runs the compiled tree automaton (two linear passes).

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -107,18 +108,179 @@ func TestCompileTMNFRoute(t *testing.T) {
 	}
 }
 
+// skeletonCase is one language's entry in the compile-skeleton
+// contract tests: a source, its AST-level twin (parse, then the
+// Compile* entry that takes the AST), and whether the source routes
+// through datalog (and so through the serving engine and a
+// content-keyed result memo).
+type skeletonCase struct {
+	lang    Language
+	src     string
+	twin    func(src string, opts ...Option) (*CompiledQuery, error)
+	datalog bool
+}
+
+func skeletonCases(t *testing.T) []skeletonCase {
+	t.Helper()
+	dl := `q(X) :- label_td(X), child(X,Y), label_b(Y). ?- q.`
+	p, err := ParseProgram(dl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp, err := ToTMNF(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	program := func(src string, opts ...Option) (*CompiledQuery, error) {
+		p, err := ParseProgram(src)
+		if err != nil {
+			return nil, err
+		}
+		return CompileProgram(p, opts...)
+	}
+	return []skeletonCase{
+		{LangDatalog, dl, program, true},
+		// Program.String drops the ?- directive; a TMNF program is
+		// datalog, so CompileProgram is its twin.
+		{LangTMNF, tp.String() + " ?- q.", program, true},
+		{LangMSO, crossSources[1].src, func(src string, opts ...Option) (*CompiledQuery, error) {
+			f, err := ParseMSO(src)
+			if err != nil {
+				return nil, err
+			}
+			return CompileMSO(f, opts...)
+		}, false},
+		{LangXPath, `//td[b]`, func(src string, opts ...Option) (*CompiledQuery, error) {
+			x, err := ParseXPath(src)
+			if err != nil {
+				return nil, err
+			}
+			return CompileXPath(x, opts...)
+		}, true},
+		{LangCaterpillar, crossSources[3].src, func(src string, opts ...Option) (*CompiledQuery, error) {
+			e, err := ParseCaterpillar(src)
+			if err != nil {
+				return nil, err
+			}
+			return CompileCaterpillar(e, opts...)
+		}, true},
+		{LangElog, crossSources[4].src, func(src string, opts ...Option) (*CompiledQuery, error) {
+			p, err := ParseElog(src)
+			if err != nil {
+				return nil, err
+			}
+			return CompileElog(p, opts...)
+		}, true},
+		{LangSpanner, priceSpanner, func(src string, opts ...Option) (*CompiledQuery, error) {
+			p, err := ParseSpanner(src)
+			if err != nil {
+				return nil, err
+			}
+			return CompileSpanner(p, opts...)
+		}, true},
+	}
+}
+
+// TestCompileSkeletonContract pins what the one compile skeleton
+// guarantees every language: WithEngine(EngineBitmap) reaches every
+// datalog-routed plan; Compile(src) and its AST twin share one
+// result-memo entry through a shared cache (the automaton keys its memo
+// by query identity, so there the two stay apart); and both record
+// their compile time.
+func TestCompileSkeletonContract(t *testing.T) {
+	ctx := context.Background()
+	doc := ParseHTML(crossPage)
+	cases := skeletonCases(t)
+	if len(cases) != len(LanguageNames()) {
+		t.Fatalf("skeleton cases cover %d languages, want all %d", len(cases), len(LanguageNames()))
+	}
+	for _, c := range cases {
+		t.Run(c.lang.String(), func(t *testing.T) {
+			tc := NewTreeCache(0)
+			opts := []Option{WithEngine(EngineBitmap), WithCache(tc)}
+			fromSrc, err := Compile(c.src, c.lang, opts...)
+			if err != nil {
+				t.Fatalf("Compile: %v", err)
+			}
+			fromAST, err := c.twin(c.src, opts...)
+			if err != nil {
+				t.Fatalf("AST twin: %v", err)
+			}
+			wantEngine := "automaton"
+			if c.datalog {
+				wantEngine = "bitmap"
+			}
+			for _, q := range []*CompiledQuery{fromSrc, fromAST} {
+				if got := q.EngineName(); got != wantEngine {
+					t.Errorf("engine %q, want %q", got, wantEngine)
+				}
+				if _, err := q.Eval(ctx, doc); err != nil {
+					t.Fatal(err)
+				}
+				if q.Stats().Compile <= 0 {
+					t.Errorf("Stats().Compile not recorded: %+v", q.Stats())
+				}
+			}
+			if fromSrc.Stats().Parse <= 0 {
+				t.Errorf("Compile did not record its parse time: %+v", fromSrc.Stats())
+			}
+			wantResults := 2
+			if c.datalog {
+				wantResults = 1
+			}
+			if got := tc.Stats().Results; got != wantResults {
+				t.Errorf("Compile and its twin left %d memo entries, want %d", got, wantResults)
+			}
+		})
+	}
+}
+
+// TestCompileRejectsReferenceEngines: every language's Compile and AST
+// twin refuse the reference engines and out-of-range values with an
+// error naming exactly the serving engines.
+func TestCompileRejectsReferenceEngines(t *testing.T) {
+	for _, c := range skeletonCases(t) {
+		for _, e := range []Engine{EngineSemiNaive, EngineNaive, EngineLIT, Engine(99)} {
+			for name, compile := range map[string]func(string, ...Option) (*CompiledQuery, error){
+				"Compile": func(src string, opts ...Option) (*CompiledQuery, error) { return Compile(src, c.lang, opts...) },
+				"twin":    c.twin,
+			} {
+				_, err := compile(c.src, WithEngine(e))
+				if err == nil || !strings.HasSuffix(err.Error(), "(valid engines: linear, bitmap)") {
+					t.Errorf("%v %s with engine %v: got %v, want a rejection naming linear, bitmap", c.lang, name, e, err)
+				}
+			}
+		}
+	}
+}
+
+// TestCompileEngines runs one program on both serving engines through
+// Compile and on the reference engines through EvalOnTree; all must
+// select the same nodes.
 func TestCompileEngines(t *testing.T) {
 	doc := ParseHTML(crossPage)
 	src := `sel(X) :- label_td(X), firstchild(X,Y), label_b(Y).` // td whose first child is b
+	p, err := ParseProgram(src)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := ""
-	for _, e := range []Engine{EngineLinear, EngineSemiNaive, EngineNaive, EngineLIT} {
-		q, err := Compile(src, LangDatalog, WithEngine(e), WithQueryPred("sel"))
-		if err != nil {
-			t.Fatalf("%v: %v", e, err)
-		}
-		got, err := q.Select(context.Background(), doc)
-		if err != nil {
-			t.Fatalf("%v: %v", e, err)
+	for _, e := range []Engine{EngineLinear, EngineBitmap, EngineSemiNaive, EngineNaive, EngineLIT} {
+		var got []int
+		if slices.Contains(servingEngines, e) {
+			q, err := Compile(src, LangDatalog, WithEngine(e), WithQueryPred("sel"))
+			if err != nil {
+				t.Fatalf("%v: %v", e, err)
+			}
+			if got, err = q.Select(context.Background(), doc); err != nil {
+				t.Fatalf("%v: %v", e, err)
+			}
+		} else {
+			db, err := EvalOnTree(p, doc, e)
+			if err != nil {
+				t.Fatalf("%v: %v", e, err)
+			}
+			got = db.UnarySet("sel")
 		}
 		if want == "" {
 			want = fmt.Sprint(got)
@@ -134,13 +296,13 @@ func TestCompileEngines(t *testing.T) {
 func TestEvalHidesNormalizationHelpers(t *testing.T) {
 	doc := ParseHTML(crossPage)
 	src := `q(X) :- child(Y,X), label_tr(Y).`
+	p, err := ParseProgram(src)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := ""
-	for _, e := range []Engine{EngineLinear, EngineSemiNaive} {
-		cq, err := Compile(src, LangDatalog, WithEngine(e))
-		if err != nil {
-			t.Fatalf("%v: %v", e, err)
-		}
-		db, err := cq.Eval(context.Background(), doc)
+	for _, e := range []Engine{EngineLinear, EngineBitmap, EngineSemiNaive} {
+		db, err := EvalOnTree(p, doc, e)
 		if err != nil {
 			t.Fatalf("%v: %v", e, err)
 		}

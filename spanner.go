@@ -19,10 +19,7 @@ import (
 	"slices"
 	"time"
 
-	"mdlog/internal/eval"
-	"mdlog/internal/opt"
 	"mdlog/internal/span"
-	"mdlog/internal/tmnf"
 	"mdlog/internal/tree"
 )
 
@@ -76,11 +73,12 @@ func (p *spannerPlan) run(ctx context.Context, t *Tree, cache *TreeCache) (*Data
 // CompileSpanner prepares an already-parsed spanner program (the
 // AST-level twin of Compile(src, LangSpanner)).
 func CompileSpanner(p *SpannerProgram, opts ...Option) (*CompiledQuery, error) {
-	cfg := newConfig(opts)
-	start := time.Now()
-	if err := cfg.checkEngine(); err != nil {
-		return nil, err
-	}
+	return compile(LangSpanner, p, opts)
+}
+
+// translateSpanner splits the program: the node part is an ordinary
+// datalog translation, and the compiled span evaluator wraps its plan.
+func translateSpanner(p *SpannerProgram, cfg *compileConfig) (*translation, error) {
 	np, cands, err := p.NodeProgram()
 	if err != nil {
 		return nil, err
@@ -88,12 +86,6 @@ func CompileSpanner(p *SpannerProgram, opts ...Option) (*CompiledQuery, error) {
 	ev, err := span.NewEvaluator(p)
 	if err != nil {
 		return nil, err
-	}
-	// The node part always routes through the grounding engines (as
-	// with XPath): only the linear/bitmap choice applies.
-	engine := EngineLinear
-	if cfg.engine == EngineBitmap {
-		engine = EngineBitmap
 	}
 	// The candidate predicates must stay visible past the optimizer —
 	// they are what the span evaluator reads — alongside whatever the
@@ -105,23 +97,13 @@ func CompileSpanner(p *SpannerProgram, opts ...Option) (*CompiledQuery, error) {
 			visible = append(visible, c)
 		}
 	}
-	if eval.SignatureOf(np).Child {
-		tp, err := tmnf.Transform(np)
-		if err != nil {
-			return nil, err
-		}
-		np = tp
-	}
-	np, report := opt.Optimize(np, opt.Options{Level: cfg.optLevel, Roots: visible})
-	inner, err := groundPlan(np, engine, visible)
-	if err != nil {
-		return nil, err
-	}
-	q := cfg.newQuery(LangSpanner, &spannerPlan{inner: inner, eval: ev}, p.Node.Query, extract)
-	q.optReport = report
-	q.memoKey = newPlanKey(np, engine, visible)
-	q.setCompile(time.Since(start))
-	return q, nil
+	return &translation{
+		prog:      np,
+		visible:   visible,
+		wrap:      func(inner queryPlan) queryPlan { return &spannerPlan{inner: inner, eval: ev} },
+		queryPred: p.Node.Query,
+		extract:   extract,
+	}, nil
 }
 
 // spannerOf returns the plan's spanner parts, or an error for queries
