@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench-smoke bench bench-treesize bench-service bench-opt bench-queryset bench-incremental bench-subsume bench-span bench-layers layers-check fuzz-smoke docs-gate
+.PHONY: check vet build test race bench-smoke bench bench-treesize bench-service bench-opt bench-queryset bench-incremental bench-subsume bench-span bench-layers bench-ab layers-check fuzz-smoke docs-gate
 
 check: docs-gate build race fuzz-smoke layers-check bench-smoke
 
@@ -105,6 +105,21 @@ bench-layers:
 	for w in crawl-large fleet-mixed live-edit; do \
 		bash extlayers/run.sh --workload $$w --seed 1 --seconds 30 --trace 0 || exit 1; \
 	done
+
+# Paired EXT-LAYERS comparison of BASE against the working tree
+# (cmd/benchab): PAIRS runs per side and workload, alternating which
+# side goes first, same SEED and SECONDS on both; prints each metric's
+# per-side median and quartiles and the working tree's win fraction.
+# Not part of `check` and no thresholds: a claimed gain is read off the
+# output against the pairing rule (≥9/10 wins, medians apart by more
+# than the base's interquartile range).
+BASE ?= HEAD
+PAIRS ?= 10
+SECONDS ?= 30
+SEED ?= 1
+WORKLOADS ?= crawl-large fleet-mixed live-edit
+bench-ab:
+	$(GO) run ./cmd/benchab -base $(BASE) -pairs $(PAIRS) -seconds $(SECONDS) -seed $(SEED) -workloads "$(WORKLOADS)"
 
 # Root `go build/test ./...` never compiles extlayers/ (a module of its
 # own), so vet and self-test it here: an API change that breaks the

@@ -6,7 +6,8 @@
 //	mdlog -lang xpath -query '//table/tr[td/b]/td' -html page.html
 //	mdlog -lang elog -program wrapper.elog -html p1.html -html p2.html
 //	mdlog -lang spanner -program prices.span -html page.html
-//	mdlog -program wrapper.dl -html page.html -engine bitmap -stats
+//	mdlog -program wrapper.dl -html page.html -stats               # bitmap engine (the default)
+//	mdlog -program wrapper.dl -html page.html -engine linear -stats # Horn-grounding oracle
 //
 // With -lang spanner the program combines node rules with span rules
 // (text/attr/match atoms); the output is one line per extracted span

@@ -185,8 +185,9 @@ func TestExplainSingleProgram(t *testing.T) {
 	if err := run(args, &out, &errb); err != nil {
 		t.Fatalf("%v (stderr: %s)", err, errb.String())
 	}
-	if !strings.HasPrefix(out.String(), "plan: wrapper on engine ") {
-		t.Errorf("single-program -explain must lead with the plan line, got %q", out.String())
+	// No -engine: the plan runs on the default serving engine.
+	if !strings.HasPrefix(out.String(), "plan: wrapper on engine bitmap") {
+		t.Errorf("single-program -explain must lead with the plan line naming the bitmap engine, got %q", out.String())
 	}
 }
 

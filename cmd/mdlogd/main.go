@@ -13,6 +13,7 @@
 //	mdlogd -data-dir /var/lib/mdlogd              # persistent registry
 //	mdlogd -shard-of 2/4 -data-dir ...            # fleet worker
 //	mdlogd -front http://w0:8090,http://w1:8090   # fleet front tier
+//	mdlogd -engine linear                         # serve on the linear engine (default: bitmap)
 //
 // Flags override the config file. With -data-dir the registry survives
 // restarts (DataDir/wrappers.json, atomic replace-on-write) and SIGHUP

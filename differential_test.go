@@ -204,9 +204,76 @@ func fuzzFusedSet(t *testing.T, ctx context.Context, caseNo int, progs []*Progra
 	}
 }
 
+// longChainTree draws a wide or a deep tree: a sibling fan of 50–300
+// nodes, or a path 50–200 deep with occasional side children. On these
+// shapes recursion along nextsibling and firstchild chains runs for
+// hundreds of steps, which the small random trees of the other arms
+// (at most five children per node) never reach.
+func longChainTree(rng *rand.Rand, labels []string) *Tree {
+	node := func() *tree.Node { return tree.New(labels[rng.Intn(len(labels))]) }
+	root := node()
+	if rng.Intn(2) == 0 {
+		fan := root
+		if rng.Intn(2) == 0 {
+			fan = node()
+			root.Add(fan)
+		}
+		for n := 50 + rng.Intn(251); n > 0; n-- {
+			c := node()
+			if rng.Intn(8) == 0 {
+				c.Add(node())
+			}
+			fan.Add(c)
+		}
+	} else {
+		cur := root
+		for d := 50 + rng.Intn(151); d > 0; d-- {
+			if rng.Intn(6) == 0 {
+				cur.Add(node())
+			}
+			next := node()
+			cur.Add(next)
+			if rng.Intn(6) == 0 {
+				cur.Add(node())
+			}
+			cur = next
+		}
+	}
+	return tree.NewTree(root)
+}
+
+// fuzzLongChainArm evaluates p on one long-chain tree with the serving
+// engines at both optimization levels against the naive reference at
+// O0. (The other reference engines meet the naive one on the small
+// trees; here the arm targets the serving engines' recursion.)
+func fuzzLongChainArm(t *testing.T, ctx context.Context, caseNo int, rng *rand.Rand, p *Program, levels []OptLevel) {
+	t.Helper()
+	tr := longChainTree(rng, []string{"a", "b", "c"})
+	preds := p.IntensionalPreds()
+	ref, err := evalThrough(ctx, p, tr, EngineNaive, OptNone, nil)
+	if err != nil {
+		t.Fatalf("case %d: long-chain reference failed: %v\nprogram:\n%s", caseNo, err, p)
+	}
+	for _, e := range servingEngines {
+		for _, lvl := range levels {
+			db, err := evalThrough(ctx, p, tr, e, lvl, nil)
+			if err != nil {
+				t.Fatalf("case %d: long-chain %v/%v failed: %v\nprogram:\n%s", caseNo, e, lvl, err, p)
+			}
+			if diff := eval.SameResults(ref, db, preds); diff != "" {
+				t.Fatalf("case %d: long-chain %v/%v diverges from naive/O0: %s\nprogram:\n%s\ntree: %s",
+					caseNo, e, lvl, diff, p, tr)
+			}
+		}
+	}
+}
+
 func TestDifferentialEngines(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(fuzzSeed(t)))
+	// The long-chain arm draws its trees from a stream of its own, so
+	// the other arms see the same cases with or without it.
+	chainRng := rand.New(rand.NewSource(fuzzSeed(t) ^ 0x5bd1e995))
 	engines := []Engine{EngineLinear, EngineBitmap, EngineSemiNaive, EngineNaive, EngineLIT}
 	levels := []OptLevel{OptNone, OptFull}
 	iters := fuzzIterations(t)
@@ -214,6 +281,7 @@ func TestDifferentialEngines(t *testing.T) {
 	for i := 0; i < iters; i++ {
 		p := randomMonadicProgram(rng)
 		preds := p.IntensionalPreds()
+		fuzzLongChainArm(t, ctx, i, chainRng, p, levels)
 		// Two more programs over the same predicate namespace for the
 		// fused-set differential below.
 		setMates := []*Program{p, randomMonadicProgram(rng), randomMonadicProgram(rng)}

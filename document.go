@@ -292,7 +292,7 @@ func (d *Document) Stats() DocumentStats {
 // incRunLocked returns the maintained, projected model for one plan
 // identity, creating the maintainer on first use and catching it up
 // on the pending edit windows otherwise. Caller holds d.mu.
-func (d *Document) incRunLocked(ctx context.Context, key any, project []string, engine string,
+func (d *Document) incRunLocked(ctx context.Context, key any, engine string,
 	build func() *eval.IncState) (*Database, Stats, error) {
 	rs := Stats{Engine: engine}
 	if err := ctx.Err(); err != nil {
@@ -315,7 +315,7 @@ func (d *Document) incRunLocked(ctx context.Context, key any, project []string, 
 	}
 	rs.Eval = time.Since(start)
 	d.pruneLocked()
-	return db.Project(project), rs, nil
+	return db, rs, nil
 }
 
 // pruneLocked drops edit windows every maintainer has consumed.
@@ -347,10 +347,10 @@ func (q *CompiledQuery) runIncrementalIn(ctx context.Context, d *Document, cache
 	}
 	switch p := plan.(type) {
 	case *linearPlan:
-		return d.incRunLocked(ctx, q.memoKey, p.project, p.engineName(),
+		return d.incRunLocked(ctx, q.memoKey, p.engineName(),
 			func() *eval.IncState { return p.plan.NewIncState(d.arena) })
 	case *bitmapPlan:
-		return d.incRunLocked(ctx, q.memoKey, p.project, p.engineName(),
+		return d.incRunLocked(ctx, q.memoKey, p.engineName(),
 			func() *eval.IncState { return p.plan.NewIncState(d.arena) })
 	default:
 		lt, pre := d.snapshotLocked()
@@ -496,7 +496,7 @@ func (s *QuerySet) RunIncremental(ctx context.Context, d *Document) []SetResult 
 	defer d.mu.Unlock()
 	var total Stats
 	if s.fused != nil {
-		full, shared, err := d.incRunLocked(ctx, s.fusedKey, s.fusedVisible, s.fused.Engine().String(),
+		full, shared, err := d.incRunLocked(ctx, s.fusedKey, s.fused.Engine().String(),
 			func() *eval.IncState { return s.fused.NewIncState(d.arena) })
 		total.Add(shared)
 		var dbs []*Database

@@ -61,7 +61,7 @@ func main() {
 			log.Fatal(res.Err)
 		}
 		fmt.Printf("\nDocument %d:\n%s", res.Index, res.Doc.Pretty())
-		fmt.Printf("even-a nodes (linear engine): %v\n", res.Nodes)
+		fmt.Printf("even-a nodes (%s engine): %v\n", q.EngineName(), res.Nodes)
 		fmt.Printf("reference count semantics:    %v\n", paperex.EvenASpec(res.Doc))
 	}
 }

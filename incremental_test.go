@@ -80,96 +80,110 @@ func replayWith(t *testing.T, ctx context.Context, p *Program, doc *Document, pr
 func TestIncrementalDifferential(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(fuzzSeed(t) ^ 0x9e3779b9))
+	chainRng := rand.New(rand.NewSource(fuzzSeed(t) ^ 0x85ebca6b))
 	labels := []string{"a", "b", "c"}
 	iters := fuzzIterations(t)/4 + 2
-	engines := []Engine{EngineLinear, EngineBitmap}
-	levels := []OptLevel{OptNone, OptFull}
 
 	for i := 0; i < iters; i++ {
 		progs := []*Program{randomMonadicProgram(rng), randomMonadicProgram(rng), randomMonadicProgram(rng)}
-		p := progs[0]
-		preds := p.IntensionalPreds()
 		tr := tree.Random(rng, tree.RandomOptions{Labels: labels, Size: 25 + rng.Intn(55), MaxChildren: 5})
-		doc := NewDocument(tr)
+		incrementalCase(t, ctx, i, rng, progs, tr, labels)
+		// Long-chain arm: the same programs maintained on a wide or
+		// deep tree, with trees and edits from a stream of their own so
+		// the cases above do not change.
+		incrementalCase(t, ctx, i, chainRng, progs, longChainTree(chainRng, labels), labels)
+	}
+}
 
-		// One maintained arm per engine × optimization level, all fed
-		// the same edit script.
-		type arm struct {
-			e   Engine
-			lvl OptLevel
-			q   *CompiledQuery
-		}
-		var arms []arm
-		for _, e := range engines {
-			for _, lvl := range levels {
-				q, err := CompileProgram(p.Clone(), WithEngine(e), WithOptLevel(lvl))
-				if err != nil {
-					t.Fatalf("case %d: compiling %v/%v: %v\nprogram:\n%s", i, e, lvl, err, p)
-				}
-				arms = append(arms, arm{e, lvl, q})
-			}
-		}
+// incrementalCase maintains progs[0] (on both engines at both
+// optimization levels) and the fused set of progs (on both engines) on
+// a live document over tr through six random edit windows, checking
+// every maintained model against replay from scratch after each.
+func incrementalCase(t *testing.T, ctx context.Context, i int, rng *rand.Rand, progs []*Program, tr *Tree, labels []string) {
+	t.Helper()
+	engines := []Engine{EngineLinear, EngineBitmap}
+	levels := []OptLevel{OptNone, OptFull}
+	p := progs[0]
+	preds := p.IntensionalPreds()
+	doc := NewDocument(tr)
 
-		// All-linear and all-bitmap fused sets over the same namespace.
-		sets := map[Engine]*QuerySet{}
-		for _, e := range []Engine{EngineLinear, EngineBitmap} {
-			qs := make([]*CompiledQuery, len(progs))
-			for j, mp := range progs {
-				q, err := CompileProgram(mp.Clone(), WithEngine(e), WithOptLevel(OptFull))
-				if err != nil {
-					t.Fatalf("case %d: compiling set member %d on %v: %v\nprogram:\n%s", i, j, e, err, mp)
-				}
-				qs[j] = q
-			}
-			set, err := NewQuerySet(qs...)
+	// One maintained arm per engine × optimization level, all fed
+	// the same edit script.
+	type arm struct {
+		e   Engine
+		lvl OptLevel
+		q   *CompiledQuery
+	}
+	var arms []arm
+	for _, e := range engines {
+		for _, lvl := range levels {
+			q, err := CompileProgram(p.Clone(), WithEngine(e), WithOptLevel(lvl))
 			if err != nil {
-				t.Fatalf("case %d: fusing on %v: %v", i, e, err)
+				t.Fatalf("case %d: compiling %v/%v: %v\nprogram:\n%s", i, e, lvl, err, p)
 			}
-			if set.FusedLen() != len(progs) {
-				t.Fatalf("case %d: fused %d of %d %v members", i, set.FusedLen(), len(progs), e)
-			}
-			sets[e] = set
+			arms = append(arms, arm{e, lvl, q})
 		}
+	}
 
-		for step := 0; step < 6; step++ {
-			for k := 1 + rng.Intn(2); k > 0; k-- {
-				randomDocEdit(t, rng, doc, labels)
+	// All-linear and all-bitmap fused sets over the same namespace.
+	sets := map[Engine]*QuerySet{}
+	for _, e := range []Engine{EngineLinear, EngineBitmap} {
+		qs := make([]*CompiledQuery, len(progs))
+		for j, mp := range progs {
+			q, err := CompileProgram(mp.Clone(), WithEngine(e), WithOptLevel(OptFull))
+			if err != nil {
+				t.Fatalf("case %d: compiling set member %d on %v: %v\nprogram:\n%s", i, j, e, err, mp)
 			}
-			oracle := replayUnary(t, ctx, p, doc, preds)
-			for _, lvl := range levels {
-				semi := replayWith(t, ctx, p, doc, preds, EngineSemiNaive, lvl)
-				for _, pred := range preds {
-					if got := fmt.Sprint(semi[pred]); got != fmt.Sprint(oracle[pred]) {
-						t.Fatalf("case %d step %d: seminaive/%v replay: %s = %s, naive %v\nprogram:\n%s",
-							i, step, lvl, pred, got, oracle[pred], p)
-					}
+			qs[j] = q
+		}
+		set, err := NewQuerySet(qs...)
+		if err != nil {
+			t.Fatalf("case %d: fusing on %v: %v", i, e, err)
+		}
+		if set.FusedLen() != len(progs) {
+			t.Fatalf("case %d: fused %d of %d %v members", i, set.FusedLen(), len(progs), e)
+		}
+		sets[e] = set
+	}
+
+	for step := 0; step < 6; step++ {
+		for k := 1 + rng.Intn(2); k > 0; k-- {
+			randomDocEdit(t, rng, doc, labels)
+		}
+		oracle := replayUnary(t, ctx, p, doc, preds)
+		for _, lvl := range levels {
+			semi := replayWith(t, ctx, p, doc, preds, EngineSemiNaive, lvl)
+			for _, pred := range preds {
+				if got := fmt.Sprint(semi[pred]); got != fmt.Sprint(oracle[pred]) {
+					t.Fatalf("case %d step %d: seminaive/%v replay: %s = %s, naive %v\nprogram:\n%s",
+						i, step, lvl, pred, got, oracle[pred], p)
 				}
 			}
-			for _, a := range arms {
-				db, err := a.q.EvalIncremental(ctx, doc)
-				if err != nil {
-					t.Fatalf("case %d step %d: incremental %v/%v: %v\nprogram:\n%s", i, step, a.e, a.lvl, err, p)
-				}
-				for _, pred := range preds {
-					if got := fmt.Sprint(db.UnarySet(pred)); got != fmt.Sprint(oracle[pred]) {
-						t.Fatalf("case %d step %d: incremental %v/%v: %s = %s, replay %v\nprogram:\n%s",
-							i, step, a.e, a.lvl, pred, got, oracle[pred], p)
-					}
+		}
+		for _, a := range arms {
+			db, err := a.q.EvalIncremental(ctx, doc)
+			if err != nil {
+				t.Fatalf("case %d step %d: incremental %v/%v: %v\nprogram:\n%s", i, step, a.e, a.lvl, err, p)
+			}
+			for _, pred := range preds {
+				if got := fmt.Sprint(db.UnarySet(pred)); got != fmt.Sprint(oracle[pred]) {
+					t.Fatalf("case %d step %d: incremental %v/%v: %s = %s, replay %v\nprogram:\n%s",
+						i, step, a.e, a.lvl, pred, got, oracle[pred], p)
 				}
 			}
-			for e, set := range sets {
-				res := set.RunIncremental(ctx, doc)
-				for j, r := range res {
-					if r.Err != nil {
-						t.Fatalf("case %d step %d: fused %v member %d: %v\nprogram:\n%s", i, step, e, j, r.Err, progs[j])
-					}
-					mo := replayUnary(t, ctx, progs[j], doc, progs[j].IntensionalPreds())
-					for _, pred := range progs[j].IntensionalPreds() {
-						got, want := r.Assignment[pred], mo[pred]
-						if fmt.Sprint(got) != fmt.Sprint(want) && (len(got) > 0 || len(want) > 0) {
-							t.Fatalf("case %d step %d: fused %v member %d: %s = %v, replay %v\nprogram:\n%s",
-								i, step, e, j, pred, got, want, progs[j])
-						}
+		}
+		for e, set := range sets {
+			res := set.RunIncremental(ctx, doc)
+			for j, r := range res {
+				if r.Err != nil {
+					t.Fatalf("case %d step %d: fused %v member %d: %v\nprogram:\n%s", i, step, e, j, r.Err, progs[j])
+				}
+				mo := replayUnary(t, ctx, progs[j], doc, progs[j].IntensionalPreds())
+				for _, pred := range progs[j].IntensionalPreds() {
+					got, want := r.Assignment[pred], mo[pred]
+					if fmt.Sprint(got) != fmt.Sprint(want) && (len(got) > 0 || len(want) > 0) {
+						t.Fatalf("case %d step %d: fused %v member %d: %s = %v, replay %v\nprogram:\n%s",
+							i, step, e, j, pred, got, want, progs[j])
 					}
 				}
 			}

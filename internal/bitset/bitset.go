@@ -144,9 +144,7 @@ func (s *Set) AndNot(o *Set) {
 	}
 }
 
-// Or unions o into s and reports whether s changed — the word-level
-// fixpoint test: a semi-naive round that ORs every derived set without
-// change has converged.
+// Or unions o into s and reports whether s changed.
 func (s *Set) Or(o *Set) bool {
 	s.check(o)
 	changed := false
@@ -155,25 +153,6 @@ func (s *Set) Or(o *Set) bool {
 		nw := old | w
 		if nw != old {
 			s.words[i] = nw
-			changed = true
-		}
-	}
-	return changed
-}
-
-// OrDiff unions o into s, accumulating the genuinely new bits (o minus
-// the old s) into diff, and reports whether s changed. It is the delta
-// step of semi-naive evaluation: head |= derived, delta |= derived \
-// head, all in one word sweep.
-func (s *Set) OrDiff(o, diff *Set) bool {
-	s.check(o)
-	s.check(diff)
-	changed := false
-	for i, w := range o.words {
-		old := s.words[i]
-		if nw := w &^ old; nw != 0 {
-			s.words[i] = old | nw
-			diff.words[i] |= nw
 			changed = true
 		}
 	}

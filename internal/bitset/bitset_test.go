@@ -110,21 +110,6 @@ func TestBinaryOpsAgainstReference(t *testing.T) {
 				t.Fatalf("Or reported changed=%v, reference %v (n=%d)", changed, newBits, n)
 			}
 
-			dst := a.Clone()
-			diff := New(n)
-			changed = dst.OrDiff(b, diff)
-			checkAgainst(t, dst, refOr, "OrDiff union")
-			refDiff := map[int]bool{}
-			for i := range rb {
-				if !ra[i] {
-					refDiff[i] = true
-				}
-			}
-			checkAgainst(t, diff, refDiff, "OrDiff delta")
-			if changed != (len(refDiff) > 0) {
-				t.Fatalf("OrDiff reported changed=%v, reference %v (n=%d)", changed, len(refDiff) > 0, n)
-			}
-
 			if !a.Equal(a.Clone()) {
 				t.Fatalf("Equal(clone) = false (n=%d)", n)
 			}

@@ -38,6 +38,6 @@ func OptLevel(fs *flag.FlagSet) func() (opt.Level, error) {
 // parsing; any value but a serving engine yields
 // mdlog.ParseEngineFlag's error, which names the valid options.
 func Engine(fs *flag.FlagSet) func() (mdlog.Engine, error) {
-	name := fs.String("engine", "linear", "serving engine: linear or bitmap (the reference engines seminaive, naive and lit are library-only oracles)")
+	name := fs.String("engine", "bitmap", "serving engine: bitmap (the default) or linear (the Horn-grounding engine, kept as an explicit option and oracle); the reference engines seminaive, naive and lit are library-only oracles")
 	return func() (mdlog.Engine, error) { return mdlog.ParseEngineFlag(*name) }
 }

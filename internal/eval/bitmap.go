@@ -3,9 +3,8 @@ package eval
 // The bitmap engine: monadic datalog as bulk bitset algebra over the
 // arena columns. A monadic predicate over a document of n nodes is a
 // subset of {0..n-1}, so instead of grounding every rule into
-// propositional Horn clauses and propagating facts node-at-a-time
-// (plan.go), this engine evaluates each connected rule as a short
-// pipeline of word-parallel bitmap kernels:
+// propositional Horn clauses (plan.go), this engine evaluates each
+// connected rule as a short pipeline of word-parallel bitmap kernels:
 //
 //   - the anchor variable's conditions seed a "live" bitmap (label
 //     tests become per-symbol bitmaps, built once per run and shared
@@ -19,22 +18,27 @@ package eval
 //     the gathered columns; non-spanning-tree atoms are verified the
 //     same way;
 //   - the surviving live bitmap IS the head predicate's new extension
-//     (compileLinear anchors unary-headed rules at the head variable),
-//     OR-ed in with the word-level delta tracked for semi-naive.
+//     (compileLinear anchors unary-headed rules at the head variable).
 //
-// Recursion runs semi-naive on delta bitmaps: a fact derived in round
-// k can only enable rule bodies whose IDB atom binds to it, and since
-// every binary step is an injective partial function, the unique
-// candidate anchor is recovered by walking the rule's spanning-tree
-// path backwards from the delta node (invPaths). Dense deltas fall
-// back to re-running the whole columnar pipeline; either way each
-// round ends with a word-level fixpoint test (bitset.Set.OrDiff), and
-// the engine computes the same least model T_P^ω as the Theorem 4.2
-// engine — see DESIGN.md § engine comparison for the soundness
-// argument.
+// One columnar pass over every rule derives all facts whose bodies
+// need nothing derived later. Recursion then runs as a fact-at-a-time
+// worklist — the linear-time unit propagation of Proposition 3.5,
+// lifted to rules: every new (predicate, node) fact is pushed exactly
+// once, when it joins its extension. Popping it visits each body
+// occurrence of its predicate; because every binary step is an
+// injective partial function, walking the rule's spanning-tree path
+// backwards from the node (slotPaths) names the unique anchor the fact
+// can help justify, and one scalar body check (evalAnchor) against the
+// current extensions decides it. Each fact is checked once per body
+// occurrence, so the work is O(|P|·|dom|) however long the recursion
+// chains are, and the engine computes the same least model T_P^ω as
+// the Theorem 4.2 engine. A propositional flip can enable anchors
+// anywhere, so it re-runs the rules reading it columnar instead — see
+// DESIGN.md § engine comparison.
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 	"weak"
 
@@ -48,7 +52,7 @@ import (
 // reuses the Theorem 4.2 grounding plans (connected splitting, anchor
 // selection, spanning-tree steps) and adds the per-rule analyses the
 // bitmap kernels need: conditions grouped by variable slot and the
-// inverse step paths for semi-naive delta propagation.
+// inverse step paths the worklist walks.
 //
 // A BitmapPlan is immutable after NewBitmapPlan and safe for
 // concurrent use by multiple goroutines.
@@ -56,9 +60,10 @@ type BitmapPlan struct {
 	pl      *Plan
 	rules   []bitmapRule
 	maxVars int
-	// unaryDeps[pid] / propDeps[pid] list the rules whose bodies read
-	// the predicate — the semi-naive wake-up lists.
-	unaryDeps [][]int
+	// unaryDeps[pid] lists the body occurrences of a unary predicate,
+	// propDeps[pid] the rules reading a propositional one — the
+	// worklist's wake-up lists.
+	unaryDeps [][]bodyOcc
 	propDeps  [][]int
 
 	// pool recycles per-run state between Run calls. A pooled state
@@ -69,6 +74,10 @@ type BitmapPlan struct {
 	pool sync.Pool
 }
 
+// bodyOcc is one unary IDB atom of a rule body: the rule and the
+// variable slot the atom constrains.
+type bodyOcc struct{ rule, slot int }
+
 // bitmapRule is one connected rule with its conditions regrouped for
 // columnar evaluation.
 type bitmapRule struct {
@@ -78,10 +87,9 @@ type bitmapRule struct {
 	// applied as soon as the slot's column is gathered.
 	slotConds [][]unaryCheck
 	slotIDB   [][]idbUnaryRef
-	// invPaths[ai] walks from the slot of lr.idbUnary[ai] back to the
-	// anchor, inverting each spanning-tree step; empty when the atom
-	// sits on the anchor itself.
-	invPaths [][]invStep
+	// slotPaths[slot] walks from a slot back to the anchor, inverting
+	// each spanning-tree step; empty at the anchor itself.
+	slotPaths [][]invStep
 }
 
 // invStep is one spanning-tree step to undo: the original step bound
@@ -93,6 +101,22 @@ type invStep struct {
 	forward bool
 }
 
+// walkInv follows an inverse spanning-tree path from v, returning the
+// candidate anchor or -1.
+func walkInv(nav *Nav, path []invStep, v int) int {
+	for _, is := range path {
+		if is.forward {
+			v = is.edge.backward(nav, v)
+		} else {
+			v = is.edge.forward(nav, v)
+		}
+		if v < 0 {
+			return -1
+		}
+	}
+	return v
+}
+
 // NewBitmapPlan validates and prepares p for repeated bitmap-engine
 // evaluation. It accepts exactly the programs NewPlan accepts (the
 // linear fragment of Theorem 4.2: monadic, τ_ur ∪ {lastchild,
@@ -102,15 +126,15 @@ func NewBitmapPlan(p *datalog.Program) (*BitmapPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return bitmapPlanOf(pl), nil
+	return pl.Bitmap(), nil
 }
 
-// bitmapPlanOf derives the bitmap-engine analyses from a prepared
-// linear plan.
-func bitmapPlanOf(pl *Plan) *BitmapPlan {
+// Bitmap derives the bitmap-engine plan from a prepared linear plan;
+// it returns the same relations as pl, Visible projection included.
+func (pl *Plan) Bitmap() *BitmapPlan {
 	bp := &BitmapPlan{
 		pl:        pl,
-		unaryDeps: make([][]int, len(pl.unaryPreds)),
+		unaryDeps: make([][]bodyOcc, len(pl.unaryPreds)),
 		propDeps:  make([][]int, len(pl.propPreds)),
 	}
 	for ri, lr := range pl.rules {
@@ -118,22 +142,25 @@ func bitmapPlanOf(pl *Plan) *BitmapPlan {
 			lr:        lr,
 			slotConds: make([][]unaryCheck, lr.nvars),
 			slotIDB:   make([][]idbUnaryRef, lr.nvars),
-			invPaths:  make([][]invStep, len(lr.idbUnary)),
+			slotPaths: make([][]invStep, lr.nvars),
 		}
-		if lr.nvars > bp.maxVars {
-			bp.maxVars = lr.nvars
-		}
+		bp.maxVars = max(bp.maxVars, lr.nvars)
 		for _, u := range lr.unary {
 			br.slotConds[u.v] = append(br.slotConds[u.v], u)
 		}
 		for _, u := range lr.idbUnary {
 			br.slotIDB[u.v] = append(br.slotIDB[u.v], u)
+			if occ := (bodyOcc{ri, u.v}); !slices.Contains(bp.unaryDeps[u.pid], occ) {
+				bp.unaryDeps[u.pid] = append(bp.unaryDeps[u.pid], occ)
+			}
+		}
+		for _, pid := range lr.idbProp {
+			if !slices.Contains(bp.propDeps[pid], ri) {
+				bp.propDeps[pid] = append(bp.propDeps[pid], ri)
+			}
 		}
 		// Which step bound each slot (the anchor has none).
 		boundBy := make([]int, lr.nvars)
-		for i := range boundBy {
-			boundBy[i] = -1
-		}
 		for si, st := range lr.steps {
 			if st.forward {
 				boundBy[st.edge.y] = si
@@ -141,31 +168,15 @@ func bitmapPlanOf(pl *Plan) *BitmapPlan {
 				boundBy[st.edge.x] = si
 			}
 		}
-		for ai, u := range lr.idbUnary {
-			var path []invStep
-			for s := u.v; s != lr.anchor; {
+		for slot := range br.slotPaths {
+			for s := slot; s != lr.anchor; {
 				st := lr.steps[boundBy[s]]
-				path = append(path, invStep{edge: st.edge, forward: st.forward})
+				br.slotPaths[slot] = append(br.slotPaths[slot], invStep{edge: st.edge, forward: st.forward})
 				if st.forward {
 					s = st.edge.x
 				} else {
 					s = st.edge.y
 				}
-			}
-			br.invPaths[ai] = path
-		}
-		seen := map[int]bool{}
-		for _, u := range lr.idbUnary {
-			if !seen[u.pid] {
-				seen[u.pid] = true
-				bp.unaryDeps[u.pid] = append(bp.unaryDeps[u.pid], ri)
-			}
-		}
-		seenP := map[int]bool{}
-		for _, pid := range lr.idbProp {
-			if !seenP[pid] {
-				seenP[pid] = true
-				bp.propDeps[pid] = append(bp.propDeps[pid], ri)
 			}
 		}
 		bp.rules = append(bp.rules, br)
@@ -193,17 +204,14 @@ type bitmapRun struct {
 	dom       int
 	labelSyms []int32
 
-	// unary[pid] is the predicate's current extension; delta / nextDelta
-	// double-buffer the semi-naive deltas, with the dirty lists naming
-	// the predicates whose current buffer is nonempty (so clearing
-	// between rounds touches only what a round actually wrote).
-	unary     []*bitset.Set
-	delta     []*bitset.Set
-	nextDelta []*bitset.Set
-	dirty     []int
-	nextDirty []int
-	props     []bool
-	propDirty []int
+	// unary[pid] / props[pid] are the current extensions. work holds
+	// the unary facts derived but not yet propagated, flips the
+	// propositional predicates likewise; each enters exactly once, at
+	// the moment it is derived.
+	unary []*bitset.Set
+	props []bool
+	work  []fact
+	flips []int
 
 	// Lazily built per-condition bitmaps shared by every rule that
 	// seeds its live set from the same label test or node class.
@@ -215,12 +223,46 @@ type bitmapRun struct {
 
 	// Scratch: live is the pipeline bitmap, cols the gathered binding
 	// columns (one per non-anchor slot), binding the scalar-evaluation
-	// buffer, ruleStamp the per-round rule dedup marks.
-	live      *bitset.Set
-	cols      [][]int32
-	binding   []int
-	ruleStamp []int
-	round     int
+	// buffer.
+	live    *bitset.Set
+	cols    [][]int32
+	binding []int
+
+	// anchorChecks counts evalAnchor calls and columnarPasses
+	// evalColumnar calls — the scalar and the O(|dom|) units of the
+	// O(|P|·|dom|) work bound, which the tests pin.
+	anchorChecks, columnarPasses int
+}
+
+// fact is one derived (unary predicate, node) pair.
+type fact struct{ pid, v int32 }
+
+// newRun allocates run state for a domain of dom nodes; the caller
+// supplies the extensions and the document (resetDoc).
+func (bp *BitmapPlan) newRun(dom int) *bitmapRun {
+	pl := bp.pl
+	return &bitmapRun{
+		bp:        bp,
+		dom:       dom,
+		labelSyms: make([]int32, len(pl.labels)),
+		props:     make([]bool, len(pl.propPreds)),
+		labelBm:   make([]*bitset.Set, len(pl.labels)),
+		live:      bitset.New(dom),
+		cols:      make([][]int32, bp.maxVars),
+		binding:   make([]int, bp.maxVars),
+	}
+}
+
+// resetDoc points the run at nav, dropping the previous document's
+// condition bitmaps and re-resolving the label symbols.
+func (st *bitmapRun) resetDoc(nav *Nav) {
+	st.nav = nav
+	clear(st.labelBm)
+	clear(st.kindBm[:])
+	st.deadBm = nil
+	for i, l := range st.bp.pl.labels {
+		st.labelSyms[i] = nav.LabelID(l)
+	}
 }
 
 // acquire returns run state for nav: a pooled state when one is
@@ -231,84 +273,36 @@ type bitmapRun struct {
 func (bp *BitmapPlan) acquire(nav *Nav) *bitmapRun {
 	dom := nav.Dom()
 	if v := bp.pool.Get(); v != nil {
-		st := v.(*bitmapRun)
-		if st.dom == dom {
-			if st.weakNav.Value() != nav {
-				// Different document of the same size: the sized
-				// allocations are reusable, the per-document bitmaps
-				// and symbol table are not.
-				for i := range st.labelBm {
-					st.labelBm[i] = nil
-				}
-				for i := range st.kindBm {
-					st.kindBm[i] = nil
-				}
-				st.deadBm = nil
-				for i, l := range bp.pl.labels {
-					st.labelSyms[i] = nav.LabelID(l)
-				}
+		if st := v.(*bitmapRun); st.dom == dom {
+			if st.weakNav.Value() == nav {
+				st.nav = nav
+			} else {
+				st.resetDoc(nav)
 			}
-			st.nav = nav
-			for i := range st.unary {
-				st.unary[i].Clear()
-				st.delta[i].Clear()
-				st.nextDelta[i].Clear()
+			for _, u := range st.unary {
+				u.Clear()
 			}
-			for i := range st.props {
-				st.props[i] = false
-			}
-			for i := range st.ruleStamp {
-				st.ruleStamp[i] = 0
-			}
-			st.dirty = st.dirty[:0]
-			st.nextDirty = st.nextDirty[:0]
-			st.propDirty = nil
-			st.round = 0
+			clear(st.props)
+			st.anchorChecks, st.columnarPasses = 0, 0
 			return st
 		}
 	}
-	pl := bp.pl
-	st := &bitmapRun{
-		bp:        bp,
-		nav:       nav,
-		dom:       dom,
-		unary:     make([]*bitset.Set, len(pl.unaryPreds)),
-		delta:     make([]*bitset.Set, len(pl.unaryPreds)),
-		nextDelta: make([]*bitset.Set, len(pl.unaryPreds)),
-		props:     make([]bool, len(pl.propPreds)),
-		labelBm:   make([]*bitset.Set, len(pl.labels)),
-		live:      bitset.New(dom),
-		cols:      make([][]int32, bp.maxVars),
-		binding:   make([]int, bp.maxVars),
-		ruleStamp: make([]int, len(bp.rules)),
-	}
+	st := bp.newRun(dom)
+	st.unary = make([]*bitset.Set, len(bp.pl.unaryPreds))
 	for i := range st.unary {
 		st.unary[i] = bitset.New(dom)
-		st.delta[i] = bitset.New(dom)
-		st.nextDelta[i] = bitset.New(dom)
 	}
-	if len(pl.labels) > 0 {
-		st.labelSyms = make([]int32, len(pl.labels))
-		for i, l := range pl.labels {
-			st.labelSyms[i] = nav.LabelID(l)
-		}
-	}
+	st.resetDoc(nav)
 	return st
 }
 
 // Run evaluates the program on the document behind nav, returning the
-// intensional relations — the same T_P^ω restriction Plan.Run
-// computes, by bulk bitmap algebra instead of Horn propagation.
+// plan's visible intensional relations — the same T_P^ω restriction
+// Plan.Run computes, by bulk bitmap algebra instead of Horn
+// propagation.
 func (bp *BitmapPlan) Run(nav *Nav) (*datalog.Database, error) {
 	st := bp.acquire(nav)
-
-	// Round 0: full columnar evaluation of every rule; derivations land
-	// in the delta buffers. Then run semi-naive rounds to fixpoint.
-	for ri := range bp.rules {
-		st.evalColumnar(ri)
-	}
-	st.fixpoint()
-
+	st.solve()
 	out := materialize(bp.pl, st.unary, st.props, st.dom)
 	bp.release(st)
 	return out, nil
@@ -324,107 +318,101 @@ func (bp *BitmapPlan) release(st *bitmapRun) {
 	bp.pool.Put(st)
 }
 
-// fixpoint runs semi-naive rounds until nothing new is derived: wake
-// exactly the rules that read a predicate whose extension grew, until
-// a round derives nothing (the word-level fixpoint — OrDiff reported
-// no fresh bits anywhere). On entry st.delta / st.dirty hold the seed
-// round's derivations; it is shared between full evaluation (seeded by
-// the round-0 columnar pass) and incremental maintenance (seeded by
-// the rederivation frontier of an arena delta).
+// solve computes the least model from empty extensions: one columnar
+// pass over every rule, then the worklist to fixpoint.
+func (st *bitmapRun) solve() {
+	for ri := range st.bp.rules {
+		st.evalColumnar(ri)
+	}
+	st.fixpoint()
+}
+
+// fixpoint drains the worklist. A popped fact tries, for each body
+// occurrence of its predicate, the one anchor the inverse path names;
+// a popped flip re-runs the rules reading the proposition columnar.
+// Both full evaluation (seeded by the columnar pass) and incremental
+// maintenance (seeded by the rederivation frontier of an arena delta)
+// end here.
 func (st *bitmapRun) fixpoint() {
 	bp := st.bp
-	for len(st.dirty) > 0 || len(st.propDirty) > 0 {
-		st.round++
-		woken := st.wokenRules()
-		dirty, propDirty := st.dirty, st.propDirty
-		st.dirty, st.nextDirty = st.nextDirty, st.dirty[:0]
-		st.delta, st.nextDelta = st.nextDelta, st.delta
-		st.propDirty = nil
-
-		for _, ri := range woken {
-			br := &bp.rules[ri]
-			if br.lr.headVar < 0 && st.props[br.lr.headID] {
-				continue // propositional head already derived
+	for {
+		if n := len(st.work); n > 0 {
+			f := st.work[n-1]
+			st.work = st.work[:n-1]
+			for _, o := range bp.unaryDeps[f.pid] {
+				st.tryAnchor(o.rule, bp.rules[o.rule].slotPaths[o.slot], int(f.v))
 			}
-			if st.propTriggered(br, propDirty) || st.denseDelta(br) {
+		} else if n := len(st.flips); n > 0 {
+			pid := st.flips[n-1]
+			st.flips = st.flips[:n-1]
+			for _, ri := range bp.propDeps[pid] {
 				st.evalColumnar(ri)
-			} else {
-				st.evalSparse(ri)
 			}
-		}
-
-		// The processed buffers become next round's write targets.
-		for _, pid := range dirty {
-			st.nextDelta[pid].Clear()
+		} else {
+			return
 		}
 	}
 }
 
-// materialize converts extension bitmaps into the Database shape the
-// engines return.
+// tryAnchor walks path back from node w to rule ri's candidate anchor
+// and, when the anchor's head fact is not yet known, checks the body
+// there and derives the head.
+func (st *bitmapRun) tryAnchor(ri int, path []invStep, w int) {
+	lr := st.bp.rules[ri].lr
+	v := walkInv(st.nav, path, w)
+	if v < 0 || !st.nav.Alive(v) {
+		return
+	}
+	if lr.headVar >= 0 {
+		if st.unary[lr.headID].Has(v) {
+			return
+		}
+	} else if st.props[lr.headID] {
+		return
+	}
+	if !st.evalAnchor(lr, v) {
+		return
+	}
+	if lr.headVar < 0 {
+		st.setProp(lr.headID)
+		return
+	}
+	st.unary[lr.headID].Add(v)
+	st.push(lr.headID, v)
+}
+
+// push queues a new unary fact — unless no rule body reads its
+// predicate, in which case there is nothing to propagate.
+func (st *bitmapRun) push(pid, v int) {
+	if len(st.bp.unaryDeps[pid]) > 0 {
+		st.work = append(st.work, fact{int32(pid), int32(v)})
+	}
+}
+
+// setProp derives a propositional predicate, queueing the flip (each
+// prop flips at most once per run).
+func (st *bitmapRun) setProp(pid int) {
+	if !st.props[pid] {
+		st.props[pid] = true
+		st.flips = append(st.flips, pid)
+	}
+}
+
+// materialize converts the visible extension bitmaps into the Database
+// shape the engines return.
 func materialize(pl *Plan, unary []*bitset.Set, props []bool, dom int) *datalog.Database {
 	out := datalog.NewDatabase(dom)
 	var ids []int
-	for pi, pred := range pl.unaryPreds {
+	for _, pi := range pl.outUnary {
 		ids = unary[pi].AppendBits(ids[:0])
-		out.Rel(pred, 1).AddUnarySet(ids)
+		out.Rel(pl.unaryPreds[pi], 1).AddUnarySet(ids)
 	}
-	for pi, pred := range pl.propPreds {
+	for _, pi := range pl.outProp {
 		if props[pi] {
-			out.Rel(pred, 0).Add(nil)
+			out.Rel(pl.propPreds[pi], 0).Add(nil)
 		}
 	}
 	return out
-}
-
-// wokenRules collects, deduplicated and in index order, the rules
-// reading a predicate that changed last round. st.delta/st.dirty still
-// hold last round's deltas when it runs.
-func (st *bitmapRun) wokenRules() []int {
-	var woken []int
-	wake := func(ri int) {
-		if st.ruleStamp[ri] != st.round {
-			st.ruleStamp[ri] = st.round
-			woken = append(woken, ri)
-		}
-	}
-	for _, pid := range st.dirty {
-		for _, ri := range st.bp.unaryDeps[pid] {
-			wake(ri)
-		}
-	}
-	for _, pid := range st.propDirty {
-		for _, ri := range st.bp.propDeps[pid] {
-			wake(ri)
-		}
-	}
-	return woken
-}
-
-// propTriggered reports whether one of the rule's propositional body
-// atoms became true last round — such a flip can enable anchors
-// anywhere, so only a full columnar re-evaluation is complete.
-func (st *bitmapRun) propTriggered(br *bitmapRule, propDirty []int) bool {
-	for _, pid := range br.lr.idbProp {
-		for _, p := range propDirty {
-			if p == pid {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// denseDelta reports whether the rule's incoming deltas are so large
-// that per-bit inverse walking would cost more than one bulk columnar
-// pass over the whole domain.
-func (st *bitmapRun) denseDelta(br *bitmapRule) bool {
-	total := 0
-	for _, u := range br.lr.idbUnary {
-		// Pre-swap naming: nextDelta holds last round's deltas here.
-		total += st.nextDelta[u.pid].Count()
-	}
-	return total*8 > st.dom
 }
 
 // aliveMask subtracts the tombstoned rows of a mutated arena from bm.
@@ -530,11 +518,14 @@ func (st *bitmapRun) col(slot, anchor int) []int32 {
 }
 
 // evalColumnar runs one rule's full bitmap pipeline over the whole
-// domain, OR-ing any new head facts into the extension and the
-// current write deltas.
+// domain, adding the new head facts to the extension and the worklist.
 func (st *bitmapRun) evalColumnar(ri int) {
+	st.columnarPasses++
 	br := &st.bp.rules[ri]
 	lr := br.lr
+	if lr.headVar < 0 && st.props[lr.headID] {
+		return // propositional head already derived
+	}
 	for _, pid := range lr.idbProp {
 		if !st.props[pid] {
 			return
@@ -545,8 +536,8 @@ func (st *bitmapRun) evalColumnar(ri int) {
 		return
 	}
 	// A body IDB atom over an empty extension can never be satisfied;
-	// skip the bulk pass (the semi-naive rounds re-wake the rule the
-	// moment the predicate gains its first fact).
+	// skip the bulk pass (the worklist reaches the rule through the
+	// predicate's first fact).
 	for _, u := range lr.idbUnary {
 		if !st.unary[u.pid].Any() {
 			return
@@ -569,14 +560,18 @@ func (st *bitmapRun) evalColumnar(ri int) {
 			return
 		}
 	}
-	if lr.headVar >= 0 {
-		// compileLinear anchors unary-headed rules at the head variable,
-		// so live is the set of newly justified head nodes directly.
-		if st.unary[lr.headID].OrDiff(live, st.delta[lr.headID]) {
-			st.markDirty(lr.headID)
-		}
-	} else {
+	if lr.headVar < 0 {
 		st.setProp(lr.headID)
+		return
+	}
+	// compileLinear anchors unary-headed rules at the head variable, so
+	// live minus the current extension is the set of new head facts.
+	head := st.unary[lr.headID]
+	live.AndNot(head)
+	head.Or(live)
+	if len(st.bp.unaryDeps[lr.headID]) > 0 {
+		pid := int32(lr.headID)
+		live.ForEach(func(v int) { st.work = append(st.work, fact{pid, int32(v)}) })
 	}
 }
 
@@ -731,67 +726,11 @@ func (st *bitmapRun) applyCheck(live *bitset.Set, e binEdge, anchor int) {
 	})
 }
 
-// evalSparse propagates last round's deltas through one rule without
-// touching the rest of the domain: every delta node determines (via
-// the inverse spanning-tree path — each τ_ur step is an injective
-// partial function, so the walk is exact) the unique candidate anchor
-// it could justify, and each candidate is checked scalar against the
-// full body.
-func (st *bitmapRun) evalSparse(ri int) {
-	br := &st.bp.rules[ri]
-	lr := br.lr
-	nav := st.nav
-	var head *bitset.Set
-	if lr.headVar >= 0 {
-		head = st.unary[lr.headID]
-	}
-	for ai, u := range lr.idbUnary {
-		d := st.nextDelta[u.pid] // pre-swap naming: last round's delta
-		if !d.Any() {
-			continue
-		}
-		path := br.invPaths[ai]
-		done := false
-		d.ForEach(func(w int) {
-			if done {
-				return
-			}
-			v := w
-			for _, is := range path {
-				if is.forward {
-					v = is.edge.backward(nav, v)
-				} else {
-					v = is.edge.forward(nav, v)
-				}
-				if v < 0 {
-					return
-				}
-			}
-			if head != nil && head.Has(v) {
-				return
-			}
-			if !st.evalAnchor(lr, v) {
-				return
-			}
-			if head != nil {
-				head.Add(v)
-				st.delta[lr.headID].Add(v)
-				st.markDirty(lr.headID)
-			} else {
-				st.setProp(lr.headID)
-				done = true
-			}
-		})
-		if done {
-			return
-		}
-	}
-}
-
 // evalAnchor checks the full rule body for one anchor binding — the
 // scalar mirror of the columnar pipeline, with IDB atoms tested
 // against the current extension bitmaps.
 func (st *bitmapRun) evalAnchor(lr *linearRule, anchorVal int) bool {
+	st.anchorChecks++
 	nav := st.nav
 	binding := st.binding
 	binding[lr.anchor] = anchorVal
@@ -831,27 +770,6 @@ func (st *bitmapRun) evalAnchor(lr *linearRule, anchorVal int) bool {
 		}
 	}
 	return true
-}
-
-// markDirty records that a unary predicate's current write delta is
-// nonempty (idempotent per round via the dirty list scan — the list
-// stays tiny: one entry per predicate).
-func (st *bitmapRun) markDirty(pid int) {
-	for _, d := range st.dirty {
-		if d == pid {
-			return
-		}
-	}
-	st.dirty = append(st.dirty, pid)
-}
-
-// setProp derives a propositional predicate, recording the flip for
-// next round's wake-ups (each prop flips at most once per run).
-func (st *bitmapRun) setProp(pid int) {
-	if !st.props[pid] {
-		st.props[pid] = true
-		st.propDirty = append(st.propDirty, pid)
-	}
 }
 
 // RunTree is Run over a bare tree, building (or fetching from cache,

@@ -24,7 +24,7 @@ const (
 	// EngineBitmap evaluates the Theorem 4.2 fragment as bulk bitset
 	// algebra over the arena columns (bitmap.go): monadic predicates
 	// are dense node bitmaps, body atoms are column-gather kernels,
-	// recursion is semi-naive on delta bitmaps.
+	// recursion is a fact-at-a-time worklist.
 	EngineBitmap
 )
 

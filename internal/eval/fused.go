@@ -9,6 +9,7 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"mdlog/internal/datalog"
@@ -43,10 +44,10 @@ type FusedPlan struct {
 	members []FusedMember
 }
 
-// NewFusedPlan prepares the fused program for the linear engine and
-// attaches the member projections.
+// NewFusedPlan prepares the fused program for the bitmap engine (the
+// serving default) and attaches the member projections.
 func NewFusedPlan(p *datalog.Program, members []FusedMember) (*FusedPlan, error) {
-	return NewFusedPlanEngine(p, members, EngineLinear)
+	return NewFusedPlanEngine(p, members, EngineBitmap)
 }
 
 // NewFusedPlanEngine is NewFusedPlan with an explicit grounding
@@ -61,9 +62,18 @@ func NewFusedPlanEngine(p *datalog.Program, members []FusedMember, engine Engine
 	if err != nil {
 		return nil, err
 	}
+	// The shared pass returns only what some member projects.
+	visible := []string{}
+	for _, m := range members {
+		for _, fusedPred := range m.Project {
+			visible = append(visible, fusedPred)
+		}
+	}
+	slices.Sort(visible)
+	pl = pl.Visible(slices.Compact(visible))
 	f := &FusedPlan{plan: pl, engine: engine, members: members}
 	if engine == EngineBitmap {
-		f.bitmap = bitmapPlanOf(pl)
+		f.bitmap = pl.Bitmap()
 	}
 	return f, nil
 }
@@ -75,8 +85,9 @@ func (f *FusedPlan) Plan() *Plan { return f.plan }
 func (f *FusedPlan) Engine() Engine { return f.engine }
 
 // RunFull executes the fused plan once over nav and returns the
-// shared (unsplit) result database — the memoizable unit; Split
-// recovers the per-member views.
+// shared (unsplit) result database, restricted to the relations some
+// member projects — the memoizable unit; Split recovers the
+// per-member views.
 func (f *FusedPlan) RunFull(nav *Nav) (*datalog.Database, error) {
 	if f.bitmap != nil {
 		return f.bitmap.Run(nav)

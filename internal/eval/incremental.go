@@ -12,7 +12,7 @@ package eval
 // signature, so no fact changes.
 //
 // IncState exploits that bound with delete-rederive (DRed) on top of
-// the bitmap engine's semi-naive machinery:
+// the bitmap engine's worklist:
 //
 //  1. Overdelete, entirely under the OLD structure: walk from every
 //     affected row backwards to the unique candidate anchor of each
@@ -24,13 +24,15 @@ package eval
 //     propagate through rule bodies by the same inverse walk until
 //     the worklist drains. This over-approximates: a fact with an
 //     independent surviving derivation is deleted too —
-//  2. Rederive, under the NEW structure: seed the bitmap engine's
-//     semi-naive loop (bitmapRun.fixpoint) with every candidate
-//     anchor reachable from an affected or overdeleted node and let
-//     the ordinary delta rounds run to fixpoint. A new derivation
-//     must use a changed EDB fact or a rederived IDB fact, and both
-//     kinds of node are in the seed frontier, so the loop reaches
-//     exactly the least model of the new document — the same T_P^ω a
+//  2. Rederive, under the NEW structure: check every candidate anchor
+//     reachable from an affected node and the anchor of every
+//     overdeleted fact, push what holds onto the bitmap engine's
+//     worklist and drain it (bitmapRun.fixpoint). A missing fact's
+//     derivation uses a changed EDB fact (seeded from the affected
+//     rows), a rederived IDB fact (reached by the worklist), or
+//     neither — then it held before the edit and the fact was
+//     overdeleted (seeded at its own anchor) — so the loop reaches
+//     exactly the least model of the new document, the same T_P^ω a
 //     from-scratch evaluation computes (DESIGN.md § Incremental
 //     maintenance gives the argument in full).
 //
@@ -73,10 +75,13 @@ type IncState struct {
 	// predicate at generation gen.
 	unary []*bitset.Set
 
-	// slotPaths[ri][slot] walks from a rule slot back to its anchor,
-	// inverting each spanning-tree step (empty at the anchor itself) —
-	// the frontier → candidate-anchor map of both DRed passes.
-	slotPaths [][][]invStep
+	// childK records whether some rule uses child_k, whose facts change
+	// when a sibling shift renumbers a row's child index.
+	childK bool
+
+	// headRules[pid] lists the rules deriving a unary predicate — the
+	// rules that may restore one of its overdeleted facts.
+	headRules [][]int
 
 	// run is the persistent scratch state the rederivation fixpoint
 	// executes in; its unary slice aliases the maintained extensions.
@@ -96,16 +101,13 @@ type IncStats struct {
 	Overdeleted, Rederived int
 }
 
-// incFact is one (predicate, node) pair on the overdelete worklist.
-type incFact struct{ pid, v int }
-
 // NewIncState builds incremental maintenance state for the plan over
 // the document behind a, at the arena's current generation, by one
 // full evaluation. Both grounding engines (linear and bitmap) compute
 // the same least model, so one IncState serves queries compiled for
 // either.
 func (pl *Plan) NewIncState(a *tree.Arena) *IncState {
-	return newIncState(bitmapPlanOf(pl), a)
+	return newIncState(pl.Bitmap(), a)
 }
 
 // NewIncState is Plan.NewIncState for an already-prepared bitmap plan.
@@ -122,46 +124,22 @@ func newIncState(bp *BitmapPlan, a *tree.Arena) *IncState {
 	}
 	// With no propositional predicates every rule is anchored at its
 	// head variable (nvars ≥ 1) and has no propositional body atoms.
-	s.slotPaths = make([][][]invStep, len(bp.rules))
-	for ri := range bp.rules {
-		lr := bp.rules[ri].lr
-		boundBy := make([]int, lr.nvars)
-		for i := range boundBy {
-			boundBy[i] = -1
+	s.headRules = make([][]int, len(pl.unaryPreds))
+	for ri, br := range bp.rules {
+		s.headRules[br.lr.headID] = append(s.headRules[br.lr.headID], ri)
+		for _, st := range br.lr.steps {
+			s.childK = s.childK || st.edge.kind == binChildK
 		}
-		for si, st := range lr.steps {
-			if st.forward {
-				boundBy[st.edge.y] = si
-			} else {
-				boundBy[st.edge.x] = si
-			}
+		for _, e := range br.lr.checks {
+			s.childK = s.childK || e.kind == binChildK
 		}
-		paths := make([][]invStep, lr.nvars)
-		for slot := 0; slot < lr.nvars; slot++ {
-			var path []invStep
-			for v := slot; v != lr.anchor; {
-				st := lr.steps[boundBy[v]]
-				path = append(path, invStep{edge: st.edge, forward: st.forward})
-				if st.forward {
-					v = st.edge.x
-				} else {
-					v = st.edge.y
-				}
-			}
-			paths[slot] = path
-		}
-		s.slotPaths[ri] = paths
 	}
 	s.unary = make([]*bitset.Set, len(pl.unaryPreds))
 	for i := range s.unary {
 		s.unary[i] = bitset.New(s.dom)
 	}
 	// Full initial evaluation, retaining the extension bitmaps.
-	st := s.freshRun()
-	for ri := range bp.rules {
-		st.evalColumnar(ri)
-	}
-	st.fixpoint()
+	s.freshRun().solve()
 	return s
 }
 
@@ -177,46 +155,20 @@ func (s *IncState) Fallback() bool { return s.fallback }
 func (s *IncState) Stats() IncStats { return s.stats }
 
 // freshRun readies the persistent scratch run state for the arena's
-// current width: grows the maintained extensions and delta buffers,
-// re-resolves labels, and invalidates the per-document condition
-// bitmaps (the previous generation's are stale).
+// current width: grows the maintained extensions, re-resolves labels,
+// and invalidates the per-document condition bitmaps (the previous
+// generation's are stale).
 func (s *IncState) freshRun() *bitmapRun {
-	bp := s.bp
-	pl := bp.pl
 	dom := s.arena.Len()
-	nav := NavOf(s.arena)
 	st := s.run
 	if st == nil {
-		st = &bitmapRun{
-			bp:        bp,
-			delta:     make([]*bitset.Set, len(pl.unaryPreds)),
-			nextDelta: make([]*bitset.Set, len(pl.unaryPreds)),
-			props:     make([]bool, len(pl.propPreds)),
-			labelBm:   make([]*bitset.Set, len(pl.labels)),
-			live:      bitset.New(dom),
-			cols:      make([][]int32, bp.maxVars),
-			binding:   make([]int, bp.maxVars),
-			ruleStamp: make([]int, len(bp.rules)),
-		}
-		for i := range st.delta {
-			st.delta[i] = bitset.New(dom)
-			st.nextDelta[i] = bitset.New(dom)
-		}
-		if len(pl.labels) > 0 {
-			st.labelSyms = make([]int32, len(pl.labels))
-		}
+		st = s.bp.newRun(dom)
+		st.unary = s.unary
 		s.run = st
 	}
-	st.nav, st.dom = nav, dom
-	st.unary = s.unary
-	for i := range s.unary {
-		s.unary[i].Grow(dom)
-	}
-	for i := range st.delta {
-		st.delta[i].Grow(dom)
-		st.delta[i].Clear()
-		st.nextDelta[i].Grow(dom)
-		st.nextDelta[i].Clear()
+	st.dom = dom
+	for _, u := range s.unary {
+		u.Grow(dom)
 	}
 	st.live.Grow(dom)
 	for i, c := range st.cols {
@@ -224,23 +176,8 @@ func (s *IncState) freshRun() *bitmapRun {
 			st.cols[i] = nil
 		}
 	}
-	for i := range st.labelBm {
-		st.labelBm[i] = nil
-	}
-	for i := range st.kindBm {
-		st.kindBm[i] = nil
-	}
-	st.deadBm = nil
-	for i, l := range pl.labels {
-		st.labelSyms[i] = nav.LabelID(l)
-	}
-	for i := range st.ruleStamp {
-		st.ruleStamp[i] = 0
-	}
-	st.dirty = st.dirty[:0]
-	st.nextDirty = st.nextDirty[:0]
-	st.propDirty = nil
-	st.round = 0
+	st.resetDoc(NavOf(s.arena))
+	st.anchorChecks, st.columnarPasses = 0, 0
 	return st
 }
 
@@ -278,10 +215,15 @@ func (s *IncState) Apply(d *tree.ArenaDelta) error {
 
 	// --- DRed pass 1: overdelete under the OLD structure. -----------
 	// Affected old rows: every row that changed or disappeared. Every
-	// EDB fact that changed has all its argument nodes among them.
+	// EDB fact that changed has an argument node among them: the row
+	// whose column defines it. A row whose only change is its child
+	// index (a sibling shifted it) changed only child_k facts, so
+	// without child_k atoms it is not affected.
 	affOld := make(map[int]struct{}, len(d.Touched)+len(d.Removed))
 	for _, tn := range d.Touched {
-		affOld[int(tn.ID)] = struct{}{}
+		if s.childK || o.moved(tn) {
+			affOld[int(tn.ID)] = struct{}{}
+		}
 	}
 	for _, v := range d.Removed {
 		if int(v) < d.OldLen {
@@ -289,7 +231,7 @@ func (s *IncState) Apply(d *tree.ArenaDelta) error {
 		}
 	}
 	od := make([]*bitset.Set, len(s.unary))
-	var queue []incFact
+	var queue []fact
 	overdelete := func(pid, v int) {
 		if od[pid] == nil {
 			od[pid] = bitset.New(st.dom)
@@ -297,7 +239,7 @@ func (s *IncState) Apply(d *tree.ArenaDelta) error {
 			return
 		}
 		od[pid].Add(v)
-		queue = append(queue, incFact{pid, v})
+		queue = append(queue, fact{int32(pid), int32(v)})
 	}
 	// A derivation that used a changed fact binds an affected node at
 	// some slot; the inverse walk from that slot names its anchor.
@@ -315,7 +257,7 @@ func (s *IncState) Apply(d *tree.ArenaDelta) error {
 		}
 	}
 	for ri := range bp.rules {
-		for _, path := range s.slotPaths[ri] {
+		for _, path := range bp.rules[ri].slotPaths {
 			for u := range affOld {
 				tryOld(ri, path, u)
 			}
@@ -324,13 +266,8 @@ func (s *IncState) Apply(d *tree.ArenaDelta) error {
 	for len(queue) > 0 {
 		f := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		for _, ri := range bp.unaryDeps[f.pid] {
-			br := &bp.rules[ri]
-			for ai, u := range br.lr.idbUnary {
-				if u.pid == f.pid {
-					tryOld(ri, br.invPaths[ai], f.v)
-				}
-			}
+		for _, o := range bp.unaryDeps[f.pid] {
+			tryOld(o.rule, bp.rules[o.rule].slotPaths[o.slot], int(f.v))
 		}
 	}
 	// Subtract the overdeletions; removed rows lose all facts outright
@@ -353,11 +290,16 @@ func (s *IncState) Apply(d *tree.ArenaDelta) error {
 	s.stats.Overdeleted += overdeleted
 
 	// --- DRed pass 2: rederive under the NEW structure. -------------
-	// Seed frontier: affected rows (old and new) plus everything
-	// overdeleted. A new derivation uses a changed EDB fact (its node
-	// is affected) or a rederived IDB fact (reached by the semi-naive
-	// rounds); an overdeleted fact with a surviving derivation is
-	// rediscovered from its own anchor seed.
+	// A fact of the new model that is missing now has a derivation
+	// that (i) uses a changed EDB fact, whose nodes are affected rows:
+	// seed every slot of every rule from them; or (ii) uses a
+	// rederived or new IDB fact: the worklist reaches it when that
+	// fact is pushed; or (iii) uses neither, so the same rule instance
+	// held before the edit and the fact was overdeleted: seed each
+	// overdeleted fact's own anchor with the rules for its predicate.
+	// Draining the worklist after each such seed lets a rederived
+	// chain restore its tail before the tail's own seeds come up, so
+	// those skip the body check.
 	affNew := affOld
 	for _, v := range d.Added {
 		affNew[int(v)] = struct{}{}
@@ -365,41 +307,25 @@ func (s *IncState) Apply(d *tree.ArenaDelta) error {
 	for _, v := range d.Removed {
 		affNew[int(v)] = struct{}{}
 	}
-	for _, b := range od {
-		if b != nil {
-			b.ForEach(func(v int) { affNew[v] = struct{}{} })
-		}
-	}
 	for ri := range bp.rules {
-		lr := bp.rules[ri].lr
-		head := st.unary[lr.headID]
-		for _, path := range s.slotPaths[ri] {
+		for _, path := range bp.rules[ri].slotPaths {
 			for u := range affNew {
-				v := u
-				ok := true
-				for _, is := range path {
-					if is.forward {
-						v = is.edge.backward(nav, v)
-					} else {
-						v = is.edge.forward(nav, v)
-					}
-					if v < 0 {
-						ok = false
-						break
-					}
-				}
-				if !ok || !nav.Alive(v) || head.Has(v) {
-					continue
-				}
-				if st.evalAnchor(lr, v) {
-					head.Add(v)
-					st.delta[lr.headID].Add(v)
-					st.markDirty(lr.headID)
-				}
+				st.tryAnchor(ri, path, u)
 			}
 		}
 	}
 	st.fixpoint()
+	for pid, b := range od {
+		if b == nil {
+			continue
+		}
+		b.ForEach(func(v int) {
+			for _, ri := range s.headRules[pid] {
+				st.tryAnchor(ri, nil, v)
+			}
+			st.fixpoint()
+		})
+	}
 
 	rederived := 0
 	for pid, b := range od {
@@ -458,6 +384,15 @@ func newOldView(nav *Nav, d *tree.ArenaDelta) *oldView {
 		}
 	}
 	return o
+}
+
+// moved reports whether a touched row's navigation columns differ
+// from their pre-window values in more than the child index.
+func (o *oldView) moved(tn tree.TouchedNode) bool {
+	v, nav := tn.ID, o.nav
+	return tn.OldParent != nav.Parent[v] || tn.OldFirstChild != nav.FC[v] ||
+		tn.OldNextSibling != nav.NS[v] || tn.OldPrevSibling != nav.Prev[v] ||
+		tn.OldLastChild != nav.LastChild[v]
 }
 
 // exists reports whether v was a live node before the window: inside

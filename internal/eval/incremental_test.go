@@ -99,7 +99,7 @@ func TestIncrementalEval(t *testing.T) {
 					if diff := SameResults(got, full, preds); diff != "" {
 						t.Fatalf("%s trial %d step %d: incremental vs full linear: %s", tc.name, trial, step, diff)
 					}
-					fullBm, err := bitmapPlanOf(pl).Run(NavOf(a))
+					fullBm, err := pl.Bitmap().Run(NavOf(a))
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 
 	"mdlog/internal/datalog"
 	"mdlog/internal/horn"
@@ -25,6 +26,11 @@ type Plan struct {
 	// propositional predicates in a trailing block.
 	unaryID, propID       map[string]int
 	unaryPreds, propPreds []string
+
+	// outUnary / outProp index the relations Run returns (positions in
+	// unaryPreds / propPreds): every intensional relation, unless
+	// Visible narrowed the plan.
+	outUnary, outProp []int
 
 	// labels lists the distinct label_a labels the program tests;
 	// unaryCheck.labelIdx indexes it. Run resolves each to the
@@ -92,6 +98,12 @@ func NewPlan(p *datalog.Program) (*Plan, error) {
 			}
 		}
 	}
+	for i := range pl.unaryPreds {
+		pl.outUnary = append(pl.outUnary, i)
+	}
+	for i := range pl.propPreds {
+		pl.outProp = append(pl.outProp, i)
+	}
 	// Predicates may appear in bodies as IDB without having rules; the
 	// maps above cover all head predicates, which is sufficient: body
 	// IDB atoms of unruled predicates can never hold, so rules
@@ -109,6 +121,28 @@ func NewPlan(p *datalog.Program) (*Plan, error) {
 	return pl, nil
 }
 
+// Visible returns a plan for the same program whose runs return only
+// the named relations — exactly what Database.Project(preds) would
+// keep of a full run, built without materializing the rest. Names the
+// program does not derive are skipped, and a propositional relation
+// appears only when true, as in a full run. A nil list returns pl
+// itself; an empty one yields empty results.
+func (pl *Plan) Visible(preds []string) *Plan {
+	if preds == nil {
+		return pl
+	}
+	v := *pl
+	v.outUnary, v.outProp = []int{}, []int{}
+	for _, pred := range preds {
+		if id, ok := pl.unaryID[pred]; ok && !slices.Contains(v.outUnary, id) {
+			v.outUnary = append(v.outUnary, id)
+		} else if id, ok := pl.propID[pred]; ok && !slices.Contains(v.outProp, id) {
+			v.outProp = append(v.outProp, id)
+		}
+	}
+	return &v
+}
+
 // Program returns the source program the plan was built from.
 func (pl *Plan) Program() *datalog.Program { return pl.src }
 
@@ -116,8 +150,8 @@ func (pl *Plan) Program() *datalog.Program { return pl.src }
 func (pl *Plan) QueryPred() string { return pl.src.Query }
 
 // Run grounds the plan over the tree behind nav and solves it,
-// returning the intensional relations (the T_P^ω restriction computed
-// by LinearTree). It allocates all mutable state locally and may be
+// returning the visible intensional relations (the T_P^ω restriction
+// computed by LinearTree). It allocates all mutable state locally and may be
 // called concurrently.
 func (pl *Plan) Run(nav *Nav) (*datalog.Database, error) {
 	dom := nav.Dom()
@@ -227,18 +261,18 @@ func (pl *Plan) Run(nav *Nav) (*datalog.Database, error) {
 	truth := solver.Solve(propBase + len(pl.propPreds))
 	out := datalog.NewDatabase(dom)
 	var ids []int
-	for pi, pred := range pl.unaryPreds {
+	for _, pi := range pl.outUnary {
 		ids = ids[:0]
 		for v := 0; v < dom; v++ {
 			if truth[pi*dom+v] {
 				ids = append(ids, v)
 			}
 		}
-		out.Rel(pred, 1).AddUnarySet(ids)
+		out.Rel(pl.unaryPreds[pi], 1).AddUnarySet(ids)
 	}
-	for pi, pred := range pl.propPreds {
+	for _, pi := range pl.outProp {
 		if truth[propBase+pi] {
-			out.Rel(pred, 0).Add(nil)
+			out.Rel(pl.propPreds[pi], 0).Add(nil)
 		}
 	}
 	return out, nil

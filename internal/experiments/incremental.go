@@ -37,8 +37,8 @@ type IncrementalPoint struct {
 }
 
 // incrementalQuery is the fixed wrapper of the benchmark — the same
-// td-with-bold-price query the substrate benchmark uses, routed
-// through the linear engine's DRed maintainer.
+// td-with-bold-price query the substrate benchmark uses, compiled for
+// the default engine and maintained by DRed on the bitmap worklist.
 const incrementalQuery = `q(X) :- label_td(X), firstchild(X,Y), label_b(Y). ?- q.`
 
 // IncrementalData measures full-vs-incremental revisions at 10k/100k

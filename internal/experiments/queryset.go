@@ -29,7 +29,8 @@ type QuerySetPoint struct {
 	// MergedPreds counts auxiliary predicates shared across members.
 	MergedPreds int `json:"merged_preds"`
 	// SequentialNs / FusedNs are one full pass over the document set
-	// (every wrapper, every document) in nanoseconds, per path.
+	// (every wrapper, every document) in nanoseconds, per path, with
+	// every member compiled for the linear engine.
 	SequentialNs float64 `json:"sequential_ns"`
 	FusedNs      float64 `json:"fused_ns"`
 	// Speedup is SequentialNs / FusedNs.
@@ -97,7 +98,15 @@ func QuerySetData(cfg Config) []QuerySetPoint {
 		specs := QuerySetFamily(n)
 		queries := make([]*mdlog.CompiledQuery, len(specs))
 		rulesSeq := 0
+		// The linear baseline: sequential and fused passes on the
+		// Horn-grounding engine.
+		linearSpecs := make([]mdlog.SetSpec, len(specs))
 		for i, sp := range specs {
+			sp.Options = append(append([]mdlog.Option{}, sp.Options...),
+				mdlog.WithEngine(mdlog.EngineLinear))
+			linearSpecs[i] = sp
+		}
+		for i, sp := range linearSpecs {
 			q, err := mdlog.Compile(sp.Source, sp.Lang,
 				append(append([]mdlog.Option{}, sp.Options...), mdlog.WithoutCache())...)
 			if err != nil {
@@ -106,7 +115,7 @@ func QuerySetData(cfg Config) []QuerySetPoint {
 			queries[i] = q
 			rulesSeq += q.OptStats().RulesAfter
 		}
-		set, err := mdlog.CompileSet(specs)
+		set, err := mdlog.CompileSet(linearSpecs)
 		if err != nil {
 			panic(fmt.Sprintf("queryset N=%d: %v", n, err))
 		}

@@ -57,9 +57,9 @@ type Config struct {
 	// "O0", "O1") applied to wrapper specs that do not set their own;
 	// empty means full optimization.
 	Opt string `json:"opt,omitempty"`
-	// Engine is the daemon-wide default serving engine ("linear" or
-	// "bitmap") applied to wrapper specs that do not set their own;
-	// empty means linear. Any other name, the reference engines'
+	// Engine is the daemon-wide default serving engine ("bitmap" or
+	// "linear") applied to wrapper specs that do not set their own;
+	// empty means bitmap. Any other name, the reference engines'
 	// included, fails the boot with an error listing the valid engines.
 	Engine string `json:"engine,omitempty"`
 	// MaxSessions bounds live document sessions (0:
@@ -119,8 +119,8 @@ type WrapperSpec struct {
 	Extract []string `json:"extract,omitempty"`
 	// KeepText copies #text content into wrapped output trees.
 	KeepText bool `json:"keep_text,omitempty"`
-	// Engine selects the serving engine ("linear" or "bitmap"; empty:
-	// the daemon default, which itself defaults to linear). Only
+	// Engine selects the serving engine ("bitmap" or "linear"; empty:
+	// the daemon default, which itself defaults to bitmap). Only
 	// datalog-routed plans honor it. Any other name, the reference
 	// engines seminaive, naive and lit included, is rejected at compile
 	// time with an error listing the valid engines (PUT answers 400).

@@ -72,9 +72,9 @@ type Server struct {
 	// wrapper specs that leave theirs empty ("" means library default,
 	// i.e. full optimization).
 	defaultOpt string
-	// defaultEngine is the daemon-wide serving engine (linear or
-	// bitmap) applied to wrapper specs that leave theirs empty (""
-	// means library default, i.e. the linear engine).
+	// defaultEngine is the daemon-wide serving engine (bitmap or
+	// linear) applied to wrapper specs that leave theirs empty (""
+	// means library default, i.e. the bitmap engine).
 	defaultEngine string
 
 	// Persistence (nil without a data dir): the registry snapshot on

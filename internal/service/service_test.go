@@ -644,16 +644,25 @@ func TestWrapperSpecEngineOpt(t *testing.T) {
 		t.Error("invalid daemon opt default must fail boot")
 	}
 
-	// The daemon-wide engine default applies to specs that leave engine
-	// empty, and an unknown default fails the boot.
-	cfg = bootConfig()
-	cfg.Engine = "bitmap"
-	s, err = New(cfg)
+	// Without a daemon-wide engine, specs that leave engine empty run
+	// on bitmap; a daemon-wide default applies to them instead, and an
+	// unknown default fails the boot.
+	s, err = New(bootConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	wr, _ = s.Registry().Get("items")
 	if got := wr.Query.EngineName(); got != "bitmap" {
+		t.Errorf("default engine: wrapper runs on %q, want bitmap", got)
+	}
+	cfg = bootConfig()
+	cfg.Engine = "linear"
+	s, err = New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wr, _ = s.Registry().Get("items")
+	if got := wr.Query.EngineName(); got != "linear" {
 		t.Errorf("daemon default engine not applied: wrapper runs on %q", got)
 	}
 	for _, engine := range []string{"warp", "naive"} {

@@ -116,8 +116,8 @@ func ParseProgram(src string) (*Program, error) { return datalog.ParseProgram(sr
 func TreeDB(t *Tree, opts ...eval.TreeDBOption) *Database { return eval.TreeDB(t, opts...) }
 
 // Evaluation engines (Sections 3.2 and 4.1). Compile serves with the
-// two grounding engines, EngineLinear and EngineBitmap; the
-// set-oriented engines are one-shot reference oracles reachable
+// two grounding engines, EngineBitmap (the default) and EngineLinear;
+// the set-oriented engines are one-shot reference oracles reachable
 // through EvalOnTree only.
 type Engine = eval.Engine
 
@@ -132,7 +132,8 @@ const (
 	// reference).
 	EngineLIT = eval.EngineLIT
 	// EngineBitmap evaluates the same Theorem 4.2 fragment as
-	// EngineLinear as bulk bitset algebra over the arena columns.
+	// EngineLinear as bulk bitset algebra over the arena columns plus
+	// a fact-at-a-time worklist; the serving default.
 	EngineBitmap = eval.EngineBitmap
 )
 

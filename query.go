@@ -217,7 +217,7 @@ type compileConfig struct {
 }
 
 // WithEngine selects the serving engine for datalog-routed plans:
-// EngineLinear (the default) or EngineBitmap, honored by every
+// EngineBitmap (the default) or EngineLinear, honored by every
 // datalog-routed language; the MSO automaton and the direct
 // XPath/Elog⁻Δ evaluators ignore it. Any other Engine value — the
 // reference engines seminaive, naive and lit included — fails
@@ -514,7 +514,7 @@ func compile(lang Language, ast any, opts []Option) (*CompiledQuery, error) {
 }
 
 func newConfig(opts []Option) *compileConfig {
-	cfg := &compileConfig{engine: EngineLinear, optLevel: OptFull}
+	cfg := &compileConfig{engine: EngineBitmap, optLevel: OptFull}
 	for _, o := range opts {
 		o(cfg)
 	}
@@ -687,16 +687,13 @@ func (q *CompiledQuery) setCompile(d time.Duration) { q.agg.compile.Store(int64(
 // two grounding engines: the Theorem 4.2 linear engine or its
 // columnar bitmap counterpart.
 func groundPlan(np *Program, engine Engine, project []string) (queryPlan, error) {
-	if engine == EngineBitmap {
-		bp, err := eval.NewBitmapPlan(np)
-		if err != nil {
-			return nil, err
-		}
-		return &bitmapPlan{plan: bp, project: project}, nil
-	}
 	pl, err := eval.NewPlan(np)
 	if err != nil {
 		return nil, err
+	}
+	pl = pl.Visible(project)
+	if engine == EngineBitmap {
+		return &bitmapPlan{plan: pl.Bitmap(), project: project}, nil
 	}
 	return &linearPlan{plan: pl, project: project}, nil
 }
@@ -866,8 +863,10 @@ func (q *CompiledQuery) Assign(ctx context.Context, t *Tree) (Assignment, error)
 // ---------------------------------------------------------------------
 // Plan implementations.
 
-// linearPlan executes a prepared Theorem 4.2 plan; project restricts
-// the visible predicates (nil: everything the program derives).
+// linearPlan executes a prepared Theorem 4.2 plan, narrowed at
+// compile time to the visible predicates project (nil: everything
+// the program derives); fusion reads project to build the member's
+// projection.
 type linearPlan struct {
 	plan    *eval.Plan
 	project []string
@@ -876,7 +875,7 @@ type linearPlan struct {
 func (p *linearPlan) engineName() string { return EngineLinear.String() }
 
 func (p *linearPlan) run(ctx context.Context, t *Tree, cache *TreeCache) (*Database, Stats, error) {
-	return runGrounding(ctx, t, cache, p.engineName(), p.project, p.plan.Run)
+	return runGrounding(ctx, t, cache, p.engineName(), p.plan.Run)
 }
 
 // bitmapPlan executes a prepared columnar bitmap plan — the same
@@ -890,13 +889,13 @@ type bitmapPlan struct {
 func (p *bitmapPlan) engineName() string { return EngineBitmap.String() }
 
 func (p *bitmapPlan) run(ctx context.Context, t *Tree, cache *TreeCache) (*Database, Stats, error) {
-	return runGrounding(ctx, t, cache, p.engineName(), p.project, p.plan.Run)
+	return runGrounding(ctx, t, cache, p.engineName(), p.plan.Run)
 }
 
 // runGrounding is the shared run path of the two grounding-engine
 // plans: fetch or build the navigation arrays, execute the prepared
-// plan, project the visible relations.
-func runGrounding(ctx context.Context, t *Tree, cache *TreeCache, engine string, project []string,
+// plan.
+func runGrounding(ctx context.Context, t *Tree, cache *TreeCache, engine string,
 	exec func(*eval.Nav) (*Database, error)) (*Database, Stats, error) {
 	rs := Stats{Engine: engine}
 	if err := ctx.Err(); err != nil {
@@ -919,9 +918,6 @@ func runGrounding(ctx context.Context, t *Tree, cache *TreeCache, engine string,
 	rs.Eval = time.Since(start)
 	if err != nil {
 		return nil, rs, err
-	}
-	if project != nil {
-		db = db.Project(project)
 	}
 	return db, rs, nil
 }

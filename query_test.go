@@ -235,6 +235,36 @@ func TestCompileSkeletonContract(t *testing.T) {
 	}
 }
 
+// TestDefaultEngineIsBitmap: with no engine named, datalog-routed
+// queries and the fused pass of a QuerySet serve on the bitmap engine.
+func TestDefaultEngineIsBitmap(t *testing.T) {
+	ctx := context.Background()
+	doc := ParseHTML(querySetPage)
+	var members []*CompiledQuery
+	for _, src := range []string{`//td[b]`, `//tr/td`} {
+		q, err := Compile(src, LangXPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := q.EngineName(); got != "bitmap" {
+			t.Fatalf("%s: default engine %q, want bitmap", src, got)
+		}
+		members = append(members, q)
+	}
+	set, err := NewQuerySet(members...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range set.Run(ctx, doc) {
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		if res.Stats.Engine != "bitmap" {
+			t.Fatalf("fused member %s served by %q, want bitmap", res.Name, res.Stats.Engine)
+		}
+	}
+}
+
 // TestCompileRejectsReferenceEngines: every language's Compile and AST
 // twin refuse the reference engines and out-of-range values with an
 // error naming exactly the serving engines.

@@ -101,10 +101,6 @@ type QuerySet struct {
 	// shared result would silently reinstate the per-document caching
 	// that member's compile options opted out of.
 	fusedNoCache bool
-	// fusedVisible is the union of the members' apex-renamed visible
-	// predicates — the projection applied before memoizing a fused
-	// result, so the memo never retains merged auxiliary relations.
-	fusedVisible []string
 	report       FuseReport
 	// plans is the per-member compile outcome (fused / subsumed /
 	// equivalence class), computed once at build time.
@@ -304,7 +300,6 @@ func NewNamedQuerySet(members ...NamedQuery) (*QuerySet, error) {
 		}
 		s.fused = fp
 		s.report = rep
-		s.fusedVisible = project
 		s.fusedKey = newPlanKey(fusedProg, fusedEngine, project)
 	} else {
 		s.fusedIdx = nil
@@ -510,7 +505,6 @@ func (s *QuerySet) runFused(ctx context.Context, t *Tree) ([]*Database, Stats, e
 	if err != nil {
 		return nil, rs, err
 	}
-	full = full.Project(s.fusedVisible)
 	if !s.fusedNoCache {
 		s.cache.SetResult(t, s.fusedKey, full)
 	}
