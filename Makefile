@@ -56,13 +56,14 @@ bench-queryset:
 	$(GO) run ./cmd/benchtables -queryset BENCH_queryset.json
 
 # Bounded run of the cross-engine differential fuzzer: 400 random
-# monadic programs × 2 random trees × {-O0, -O1}, the two serving
-# engines (linear, bitmap) compiled through Compile and the reference
-# engines (LIT, semi-naive, naive) run through eval.EvalOnTree on the
-# same optimized program, all compared on every visible relation,
-# plus all-linear and all-bitmap fused QuerySet passes against their
-# individual evaluations, plus the random edit-script oracle
-# (incremental maintenance ≡ replay from scratch).
+# monadic programs × 2 random trees × {-O0, -O1}, the bitmap serving
+# engine compiled through Compile, the linear engine on the program
+# and visible set that bitmap plan serves, and the reference engines
+# (LIT, semi-naive, naive) run through eval.EvalOnTree on the same
+# optimized program, all compared on every visible relation, plus
+# fused QuerySet passes against their individual and linear
+# evaluations, plus the random edit-script oracle (incremental
+# maintenance ≡ replay from scratch, by the naive and linear engines).
 # Override the workload with MDLOG_FUZZ_N / MDLOG_FUZZ_SEED.
 # The store restart round-trip rides along: persistence must survive a
 # kill/reboot byte-identically, and it's fast enough for the quick path.

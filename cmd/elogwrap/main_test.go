@@ -8,7 +8,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	mdlog "mdlog"
@@ -68,38 +67,27 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-program", "testdata/missing.elog", "testdata/page.html"}, &out, &errb); err == nil {
 		t.Error("want an error for a missing program file")
 	}
-	// Unknown and reference engines alike are refused, naming exactly
-	// the serving engines.
-	for _, engine := range []string{"warp", "seminaive"} {
-		err := run([]string{"-program", "testdata/wrapper.elog", "-engine", engine, "testdata/page.html"}, &out, &errb)
-		if err == nil || !strings.HasSuffix(err.Error(), "(valid engines: linear, bitmap)") {
-			t.Errorf("-engine %s must be refused naming the valid options, got %v", engine, err)
-		}
-	}
 	if err := run([]string{"-program", "testdata/wrapper.elog", "-O", "max", "testdata/page.html"}, &out, &errb); err == nil {
 		t.Error("want an error for a bad -O level")
 	}
 }
 
-// TestEnginesAgree wraps the fixture page through both serving
-// engines at both optimization levels; the XML output must be
-// byte-identical, and must equal the wrap of what the reference
-// engines derive from the Theorem 6.4 datalog translation, as given
-// and optimized.
+// TestEnginesAgree wraps the fixture page at both optimization
+// levels; the XML output must be byte-identical, and must equal the
+// wrap of what the linear and reference engines derive from the
+// Theorem 6.4 datalog translation, as given and optimized.
 func TestEnginesAgree(t *testing.T) {
 	var want []byte
-	for _, engine := range []string{"linear", "bitmap"} {
-		for _, o := range []string{"-O0", "-O1"} {
-			var out, errb bytes.Buffer
-			args := []string{"-program", "testdata/wrapper.elog", "-engine", engine, o, "testdata/page.html"}
-			if err := run(args, &out, &errb); err != nil {
-				t.Fatalf("%s %s: %v (stderr: %s)", engine, o, err, errb.String())
-			}
-			if want == nil {
-				want = out.Bytes()
-			} else if !bytes.Equal(out.Bytes(), want) {
-				t.Errorf("%s %s output differs:\n%s\nvs\n%s", engine, o, out.Bytes(), want)
-			}
+	for _, o := range []string{"-O0", "-O1"} {
+		var out, errb bytes.Buffer
+		args := []string{"-program", "testdata/wrapper.elog", o, "testdata/page.html"}
+		if err := run(args, &out, &errb); err != nil {
+			t.Fatalf("%s: %v (stderr: %s)", o, err, errb.String())
+		}
+		if want == nil {
+			want = out.Bytes()
+		} else if !bytes.Equal(out.Bytes(), want) {
+			t.Errorf("%s output differs:\n%s\nvs\n%s", o, out.Bytes(), want)
 		}
 	}
 	src, err := os.ReadFile("testdata/wrapper.elog")
@@ -123,7 +111,7 @@ func TestEnginesAgree(t *testing.T) {
 	// all-monadic nor guarded, so the LIT engine rejects them by design
 	// (Proposition 3.7).
 	optimized, _ := opt.Optimize(dp, opt.Options{Level: opt.O1, Roots: prog.Patterns()})
-	for _, e := range []mdlog.Engine{mdlog.EngineSemiNaive, mdlog.EngineNaive} {
+	for _, e := range []mdlog.Engine{mdlog.EngineLinear, mdlog.EngineSemiNaive, mdlog.EngineNaive} {
 		for _, p := range []*mdlog.Program{dp, optimized} {
 			db, err := mdlog.EvalOnTree(p, doc, e)
 			if err != nil {

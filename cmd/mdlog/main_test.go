@@ -89,37 +89,27 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-h"}, &out, &errb); err != nil {
 		t.Errorf("-h should print usage and succeed, got %v", err)
 	}
-	// Unknown and reference engines alike are refused, naming exactly
-	// the serving engines.
-	for _, engine := range []string{"bogus", "seminaive"} {
-		err := run([]string{"-query", "p(X) :- label_a(X). ?- p.", "-tree", "a", "-engine", engine}, &out, &errb)
-		if err == nil || !strings.HasSuffix(err.Error(), "(valid engines: linear, bitmap)") {
-			t.Errorf("-engine %s must be refused naming the valid options, got %v", engine, err)
-		}
-	}
 	if err := run([]string{"-query", "p(X) :- label_a(X). ?- p.", "-tree", "a", "-O", "7"}, &out, &errb); err == nil {
 		t.Error("want an error for a bad -O level")
 	}
 }
 
-// TestEngineOptMatrix runs one query through both serving engines and
-// both optimization levels; stdout must be identical across the
-// matrix, and must print what the reference engines select on the
-// program as given and optimized.
+// TestEngineOptMatrix runs one query at both optimization levels;
+// stdout must be identical across them, and must print what the
+// linear and reference engines select on the program as given and
+// optimized.
 func TestEngineOptMatrix(t *testing.T) {
 	var want string
-	for _, engine := range []string{"linear", "bitmap"} {
-		for _, o := range []string{"-O0", "-O1"} {
-			var out, errb bytes.Buffer
-			args := []string{"-program", "testdata/wrapper.dl", "-html", "testdata/page.html", "-engine", engine, o}
-			if err := run(args, &out, &errb); err != nil {
-				t.Fatalf("%s %s: %v (stderr: %s)", engine, o, err, errb.String())
-			}
-			if want == "" {
-				want = out.String()
-			} else if out.String() != want {
-				t.Errorf("%s %s prints %q, want %q", engine, o, out.String(), want)
-			}
+	for _, o := range []string{"-O0", "-O1"} {
+		var out, errb bytes.Buffer
+		args := []string{"-program", "testdata/wrapper.dl", "-html", "testdata/page.html", o}
+		if err := run(args, &out, &errb); err != nil {
+			t.Fatalf("%s: %v (stderr: %s)", o, err, errb.String())
+		}
+		if want == "" {
+			want = out.String()
+		} else if out.String() != want {
+			t.Errorf("%s prints %q, want %q", o, out.String(), want)
 		}
 	}
 	src, err := os.ReadFile("testdata/wrapper.dl")
@@ -136,7 +126,7 @@ func TestEngineOptMatrix(t *testing.T) {
 	}
 	doc := mdlog.ParseHTML(string(page))
 	optimized, _ := opt.Optimize(p, opt.Options{Level: opt.O1})
-	for _, e := range []mdlog.Engine{mdlog.EngineSemiNaive, mdlog.EngineNaive, mdlog.EngineLIT} {
+	for _, e := range []mdlog.Engine{mdlog.EngineLinear, mdlog.EngineSemiNaive, mdlog.EngineNaive, mdlog.EngineLIT} {
 		for _, prog := range []*mdlog.Program{p, optimized} {
 			db, err := mdlog.EvalOnTree(prog, doc, e)
 			if err != nil {
@@ -185,7 +175,7 @@ func TestExplainSingleProgram(t *testing.T) {
 	if err := run(args, &out, &errb); err != nil {
 		t.Fatalf("%v (stderr: %s)", err, errb.String())
 	}
-	// No -engine: the plan runs on the default serving engine.
+	// Every datalog-routed plan runs on the bitmap engine.
 	if !strings.HasPrefix(out.String(), "plan: wrapper on engine bitmap") {
 		t.Errorf("single-program -explain must lead with the plan line naming the bitmap engine, got %q", out.String())
 	}

@@ -13,7 +13,6 @@
 //	mdlogd -data-dir /var/lib/mdlogd              # persistent registry
 //	mdlogd -shard-of 2/4 -data-dir ...            # fleet worker
 //	mdlogd -front http://w0:8090,http://w1:8090   # fleet front tier
-//	mdlogd -engine linear                         # serve on the linear engine (default: bitmap)
 //
 // Flags override the config file. With -data-dir the registry survives
 // restarts (DataDir/wrappers.json, atomic replace-on-write) and SIGHUP
@@ -82,7 +81,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		front       = fs.String("front", "", "run as the fleet front tier over these comma-separated worker URLs")
 		frontInFl   = fs.Int("front-worker-inflight", 0, "front tier: forwarded requests bound per worker (0: default, <0: unbounded)")
 		optArg      = cliflag.OptLevel(fs)
-		engineArg   = cliflag.Engine(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -115,15 +113,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	// own "opt" still override both.
 	if isFlagSet(fs, "O") || isFlagSet(fs, "O0") || isFlagSet(fs, "O1") {
 		cfg.Opt = optLevel.String()
-	}
-	// Same precedence for the engine: -engine beats the config's
-	// daemon-wide default, per-wrapper "engine" specs beat both.
-	if isFlagSet(fs, "engine") {
-		engine, err := engineArg()
-		if err != nil {
-			return err
-		}
-		cfg.Engine = engine.String()
 	}
 	if *dataDir != "" {
 		cfg.DataDir = *dataDir

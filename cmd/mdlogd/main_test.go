@@ -89,26 +89,19 @@ func TestRunBadConfig(t *testing.T) {
 		t.Fatal("want an error for a missing config file")
 	}
 
-	// Only the serving engines boot: -engine, the daemon-wide default
-	// and a boot wrapper's own engine all refuse anything else, naming
-	// exactly linear, bitmap.
-	for _, engine := range []string{"bogus", "seminaive"} {
-		err := run(context.Background(), []string{"-addr", "127.0.0.1:0", "-engine", engine}, io.Discard)
-		if err == nil || !strings.HasSuffix(err.Error(), "(valid engines: linear, bitmap)") {
-			t.Errorf("-engine %s must be refused naming the valid options, got %v", engine, err)
-		}
-	}
+	// The engine is no setting: a config naming one, daemon-wide or
+	// per wrapper, fails the boot naming the field.
 	for name, cfg := range map[string]string{
-		"default": `{"addr": "127.0.0.1:0", "engine": "naive"}`,
-		"wrapper": `{"addr": "127.0.0.1:0", "wrappers": [{"name": "w", "lang": "xpath", "source": "//td", "engine": "naive"}]}`,
+		"default": `{"addr": "127.0.0.1:0", "engine": "bitmap"}`,
+		"wrapper": `{"addr": "127.0.0.1:0", "wrappers": [{"name": "w", "lang": "xpath", "source": "//td", "engine": "bitmap"}]}`,
 	} {
 		path := filepath.Join(dir, name+".json")
 		if err := os.WriteFile(path, []byte(cfg), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		err := run(context.Background(), []string{"-config", path}, io.Discard)
-		if err == nil || !strings.HasSuffix(err.Error(), "(valid engines: linear, bitmap)") {
-			t.Errorf("%s engine naive must fail the boot naming the valid options, got %v", name, err)
+		if err == nil || !strings.Contains(err.Error(), `unknown field "engine"`) {
+			t.Errorf("%s config with engine must fail the boot naming the field, got %v", name, err)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -60,14 +59,6 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-formula", "leaf(x", "-alphabet", "a"}, &out, &errb); err == nil {
 		t.Error("want a parse error")
-	}
-	// Unknown and reference engines alike are refused, naming exactly
-	// the serving engines.
-	for _, engine := range []string{"bogus", "seminaive"} {
-		err := run([]string{"-formula", "leaf(x)", "-alphabet", "a,b", "-engine", engine}, &out, &errb)
-		if err == nil || !strings.HasSuffix(err.Error(), "(valid engines: linear, bitmap)") {
-			t.Errorf("-engine %s must be refused naming the valid options, got %v", engine, err)
-		}
 	}
 	if err := run([]string{"-formula", "leaf(x)", "-alphabet", "a,b", "-O", "zz"}, &out, &errb); err == nil {
 		t.Error("want an error for a bad -O level")

@@ -85,14 +85,6 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-h"}, &out, &errb); err != nil {
 		t.Errorf("-h should print usage and succeed, got %v", err)
 	}
-	// Unknown and reference engines alike are refused, naming exactly
-	// the serving engines.
-	for _, engine := range []string{"bogus", "seminaive"} {
-		err := run([]string{"-program", "testdata/wrapper.dl", "-engine", engine}, &out, &errb)
-		if err == nil || !strings.HasSuffix(err.Error(), "(valid engines: linear, bitmap)") {
-			t.Errorf("-engine %s must be refused naming the valid options, got %v", engine, err)
-		}
-	}
 	if err := run([]string{"-program", "testdata/wrapper.dl", "-O", "9"}, &out, &errb); err == nil {
 		t.Error("want an error for a bad -O level")
 	}

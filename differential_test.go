@@ -21,11 +21,12 @@ import (
 
 // Cross-engine differential fuzzing: random monadic programs over the
 // full extensional vocabulary × random trees, evaluated by every
-// engine at every optimization level — the serving engines through
-// the one Compile entry point, the reference engines through
-// eval.EvalOnTree on the same optimized program. All engines must
-// agree on every visible relation — this is the semantics net under
-// the optimizer and the engine zoo.
+// engine at every optimization level — the bitmap serving engine
+// through the one Compile entry point, the linear engine on the exact
+// program and visible set that bitmap plan serves, and the reference
+// engines through eval.EvalOnTree on the same optimized program. All
+// engines must agree on every visible relation — this is the semantics
+// net under the optimizer and the engine zoo.
 //
 // The default iteration count keeps `go test ./...` fast; `make
 // fuzz-smoke` raises it via MDLOG_FUZZ_N for a bounded CI fuzzing run.
@@ -98,21 +99,29 @@ func randomMonadicProgram(rng *rand.Rand) *datalog.Program {
 	return p
 }
 
+// groundingEngines are the two engines that run prepared Theorem 4.2
+// plans: bitmap serves, linear is its oracle on the same plan.
+var groundingEngines = []Engine{EngineLinear, EngineBitmap}
+
 // evalThrough evaluates p on tr with one engine at one optimization
-// level and returns the visible relations. The serving engines go
-// through CompileProgram; the reference engines run through
+// level and returns the visible relations. Bitmap goes through
+// CompileProgram, linear runs on the program and visible set of that
+// compiled plan (evalLinear), and the reference engines run through
 // referenceEval.
 func evalThrough(ctx context.Context, p *Program, tr *Tree, e Engine, lvl OptLevel, extract []string) (*Database, error) {
-	if !slices.Contains(servingEngines, e) {
+	if !slices.Contains(groundingEngines, e) {
 		return referenceEval(p, tr, e, lvl, extract)
 	}
-	opts := []Option{WithEngine(e), WithOptLevel(lvl), WithoutCache()}
+	opts := []Option{WithOptLevel(lvl), WithoutCache()}
 	if len(extract) > 0 {
 		opts = append(opts, WithExtract(extract...))
 	}
 	q, err := CompileProgram(p.Clone(), opts...)
 	if err != nil {
 		return nil, err
+	}
+	if e == EngineLinear {
+		return q.evalLinear(tr)
 	}
 	return q.Eval(ctx, tr)
 }
@@ -158,47 +167,51 @@ func fuzzSeed(t *testing.T) int64 {
 }
 
 // fuzzFusedSet builds a QuerySet over the generated programs at one
-// optimization level, with every member on the given grounding engine,
-// and requires every member's fused result to match its individual
-// evaluation — all programs share the p0..p3/s0..s1 namespace, so this
-// doubles as an apex-renaming capture test.
-func fuzzFusedSet(t *testing.T, ctx context.Context, caseNo int, progs []*Program, tr *Tree, lvl OptLevel, engine Engine) {
+// optimization level and requires every member's fused result to match
+// both its individual bitmap evaluation and the linear engine run on
+// the member's own plan — all programs share the p0..p3/s0..s1
+// namespace, so this doubles as an apex-renaming capture test.
+func fuzzFusedSet(t *testing.T, ctx context.Context, caseNo int, progs []*Program, tr *Tree, lvl OptLevel) {
 	t.Helper()
 	queries := make([]*CompiledQuery, len(progs))
 	for j, p := range progs {
-		q, err := CompileProgram(p.Clone(), WithOptLevel(lvl), WithEngine(engine), WithoutCache())
+		q, err := CompileProgram(p.Clone(), WithOptLevel(lvl), WithoutCache())
 		if err != nil {
-			t.Fatalf("case %d: compiling set member %d at %v/%v: %v\nprogram:\n%s", caseNo, j, engine, lvl, err, p)
+			t.Fatalf("case %d: compiling set member %d at %v: %v\nprogram:\n%s", caseNo, j, lvl, err, p)
 		}
 		queries[j] = q
 	}
 	set, err := NewQuerySet(queries...)
 	if err != nil {
-		t.Fatalf("case %d: fusing at %v/%v: %v", caseNo, engine, lvl, err)
+		t.Fatalf("case %d: fusing at %v: %v", caseNo, lvl, err)
 	}
 	if set.FusedLen() != len(progs) {
-		t.Fatalf("case %d: fused %d of %d %v members", caseNo, set.FusedLen(), len(progs), engine)
+		t.Fatalf("case %d: fused %d of %d members", caseNo, set.FusedLen(), len(progs))
 	}
 	results := set.Run(ctx, tr)
 	for j, res := range results {
 		if res.Err != nil {
-			t.Fatalf("case %d: fused member %d at %v/%v: %v\nprogram:\n%s", caseNo, j, engine, lvl, res.Err, progs[j])
+			t.Fatalf("case %d: fused member %d at %v: %v\nprogram:\n%s", caseNo, j, lvl, res.Err, progs[j])
 		}
-		// An all-bitmap set must run its shared pass on the bitmap
-		// engine (and an all-linear one on linear).
-		if res.Stats.Engine != engine.String() {
-			t.Fatalf("case %d: fused member %d served by %q, want %q", caseNo, j, res.Stats.Engine, engine)
+		if res.Stats.Engine != EngineBitmap.String() {
+			t.Fatalf("case %d: fused member %d served by %q, want bitmap", caseNo, j, res.Stats.Engine)
 		}
 		ind, err := queries[j].Eval(ctx, tr)
 		if err != nil {
 			t.Fatalf("case %d: individual member %d at %v: %v", caseNo, j, lvl, err)
 		}
+		lin, err := queries[j].evalLinear(tr)
+		if err != nil {
+			t.Fatalf("case %d: linear member %d at %v: %v", caseNo, j, lvl, err)
+		}
 		for _, pred := range progs[j].IntensionalPreds() {
-			want := ind.UnarySet(pred)
 			got := res.Assignment[pred]
-			if fmt.Sprint(got) != fmt.Sprint(want) && (len(got) > 0 || len(want) > 0) {
-				t.Fatalf("case %d: fused member %d at %v: %s = %v, individual %v\nprogram:\n%s\ntree: %s",
-					caseNo, j, lvl, pred, got, want, progs[j], tr)
+			for what, db := range map[string]*Database{"individual": ind, "linear": lin} {
+				want := db.UnarySet(pred)
+				if fmt.Sprint(got) != fmt.Sprint(want) && (len(got) > 0 || len(want) > 0) {
+					t.Fatalf("case %d: fused member %d at %v: %s = %v, %s %v\nprogram:\n%s\ntree: %s",
+						caseNo, j, lvl, pred, got, what, want, progs[j], tr)
+				}
 			}
 		}
 	}
@@ -242,10 +255,11 @@ func longChainTree(rng *rand.Rand, labels []string) *Tree {
 	return tree.NewTree(root)
 }
 
-// fuzzLongChainArm evaluates p on one long-chain tree with the serving
-// engines at both optimization levels against the naive reference at
-// O0. (The other reference engines meet the naive one on the small
-// trees; here the arm targets the serving engines' recursion.)
+// fuzzLongChainArm evaluates p on one long-chain tree with the two
+// grounding engines at both optimization levels against the naive
+// reference at O0. (The other reference engines meet the naive one on
+// the small trees; here the arm targets the grounding engines'
+// recursion.)
 func fuzzLongChainArm(t *testing.T, ctx context.Context, caseNo int, rng *rand.Rand, p *Program, levels []OptLevel) {
 	t.Helper()
 	tr := longChainTree(rng, []string{"a", "b", "c"})
@@ -254,7 +268,7 @@ func fuzzLongChainArm(t *testing.T, ctx context.Context, caseNo int, rng *rand.R
 	if err != nil {
 		t.Fatalf("case %d: long-chain reference failed: %v\nprogram:\n%s", caseNo, err, p)
 	}
-	for _, e := range servingEngines {
+	for _, e := range groundingEngines {
 		for _, lvl := range levels {
 			db, err := evalThrough(ctx, p, tr, e, lvl, nil)
 			if err != nil {
@@ -331,11 +345,9 @@ func TestDifferentialEngines(t *testing.T) {
 
 			// Fused-set variant: the three generated programs run as
 			// one QuerySet pass and must agree with their individual
-			// evaluations at both optimization levels, on both
-			// grounding engines (all-linear and all-bitmap sets).
+			// and linear evaluations at both optimization levels.
 			for _, lvl := range levels {
-				fuzzFusedSet(t, ctx, i, setMates, tr, lvl, EngineLinear)
-				fuzzFusedSet(t, ctx, i, setMates, tr, lvl, EngineBitmap)
+				fuzzFusedSet(t, ctx, i, setMates, tr, lvl)
 			}
 
 			// Subsumption arm: a semantically identical variant of p
@@ -359,29 +371,27 @@ func TestDifferentialEngines(t *testing.T) {
 			fuzzSpannerArm(t, ctx, i, rng)
 
 			// Incremental arm: the same program delta-maintained on a
-			// live document must match replay-from-scratch after each
-			// edit window (tr is not used again after this).
+			// live document must match replay-from-scratch, by the naive
+			// and by the linear engine, after each edit window (tr is
+			// not used again after this).
 			doc := NewDocument(tr)
-			var incArms []*CompiledQuery
-			for _, e := range []Engine{EngineLinear, EngineBitmap} {
-				q, err := CompileProgram(p.Clone(), WithEngine(e), WithOptLevel(OptFull))
-				if err != nil {
-					t.Fatalf("case %d: compiling incremental %v arm: %v\nprogram:\n%s", i, e, err, p)
-				}
-				incArms = append(incArms, q)
+			q, err := CompileProgram(p.Clone(), WithOptLevel(OptFull))
+			if err != nil {
+				t.Fatalf("case %d: compiling incremental arm: %v\nprogram:\n%s", i, err, p)
 			}
 			for step := 0; step < 2; step++ {
 				randomDocEdit(t, rng, doc, []string{"a", "b", "c"})
 				want := fmt.Sprint(replayUnary(t, ctx, p, doc, []string{"p0"})["p0"])
-				for _, q := range incArms {
-					ids, err := q.SelectIncremental(ctx, doc)
-					if err != nil {
-						t.Fatalf("case %d step %d: incremental %s: %v\nprogram:\n%s", i, step, q.EngineName(), err, p)
-					}
-					if got := fmt.Sprint(ids); got != want {
-						t.Fatalf("case %d step %d: incremental %s selects %s, replay %s\nprogram:\n%s",
-							i, step, q.EngineName(), got, want, p)
-					}
+				if lin := fmt.Sprint(replayWith(t, ctx, p, doc, []string{"p0"}, EngineLinear, OptFull)["p0"]); lin != want {
+					t.Fatalf("case %d step %d: linear replay selects %s, naive replay %s\nprogram:\n%s", i, step, lin, want, p)
+				}
+				ids, err := q.SelectIncremental(ctx, doc)
+				if err != nil {
+					t.Fatalf("case %d step %d: incremental: %v\nprogram:\n%s", i, step, err, p)
+				}
+				if got := fmt.Sprint(ids); got != want {
+					t.Fatalf("case %d step %d: incremental selects %s, replay %s\nprogram:\n%s",
+						i, step, got, want, p)
 				}
 			}
 		}
@@ -390,8 +400,9 @@ func TestDifferentialEngines(t *testing.T) {
 
 // fuzzSpannerArm is the spanner differential: a random regex formula
 // over a random tree whose nodes carry random text and attribute
-// values, compiled through LangSpanner on both grounding engines at
-// both optimization levels. The reference is assembled naively — the
+// values, compiled through LangSpanner at both optimization levels,
+// with the node part served by bitmap and, as a second arm, by the
+// linear engine on the same plan. The reference is assembled naively — the
 // candidate node set from the naive engine at O0, and the span tuples
 // from Formula.NaiveEnumerate (the backtracking matcher the vset
 // automaton must agree with) over each candidate's character data.
@@ -489,13 +500,13 @@ func fuzzSpannerArm(t *testing.T, ctx context.Context, caseNo int, rng *rand.Ran
 		sort.Strings(rows)
 		return rows
 	}
-	for _, e := range []Engine{EngineLinear, EngineBitmap} {
+	for _, e := range groundingEngines {
 		for _, lvl := range []OptLevel{OptNone, OptFull} {
-			q, err := Compile(src, LangSpanner, WithEngine(e), WithOptLevel(lvl), WithoutCache())
+			q, err := Compile(src, LangSpanner, WithOptLevel(lvl), WithoutCache())
 			if err != nil {
 				t.Fatalf("case %d: spanner %v/%v compile: %v\nprogram:\n%s", caseNo, e, lvl, err, src)
 			}
-			res, err := q.Spans(ctx, tr)
+			res, err := spansOn(ctx, q, tr, e)
 			if err != nil {
 				t.Fatalf("case %d: spanner %v/%v run: %v\nprogram:\n%s", caseNo, e, lvl, err, src)
 			}
@@ -507,6 +518,24 @@ func fuzzSpannerArm(t *testing.T, ctx context.Context, caseNo int, rng *rand.Ran
 			}
 		}
 	}
+}
+
+// spansOn runs the spanner query q on t with its node part on engine e:
+// bitmap is q.Spans; linear enumerates the same span rules over the
+// candidate relations the linear engine derives on q's plan.
+func spansOn(ctx context.Context, q *CompiledQuery, t *Tree, e Engine) (SpanResult, error) {
+	if e == EngineBitmap {
+		return q.Spans(ctx, t)
+	}
+	sp, err := q.spannerOf()
+	if err != nil {
+		return nil, err
+	}
+	db, err := q.evalLinear(t)
+	if err != nil {
+		return nil, err
+	}
+	return sp.eval.Eval(treeSource{t: t}, db.UnarySet), nil
 }
 
 // subsumeVariant builds a semantically identical restatement of p: in

@@ -292,9 +292,9 @@ func (d *Document) Stats() DocumentStats {
 // incRunLocked returns the maintained, projected model for one plan
 // identity, creating the maintainer on first use and catching it up
 // on the pending edit windows otherwise. Caller holds d.mu.
-func (d *Document) incRunLocked(ctx context.Context, key any, engine string,
+func (d *Document) incRunLocked(ctx context.Context, key any,
 	build func() *eval.IncState) (*Database, Stats, error) {
-	rs := Stats{Engine: engine}
+	rs := Stats{Engine: EngineBitmap.String()}
 	if err := ctx.Err(); err != nil {
 		return nil, rs, err
 	}
@@ -332,12 +332,12 @@ func (d *Document) pruneLocked() {
 	}
 }
 
-// runIncrementalIn evaluates q against the live document. Grounding
-// plans (linear, bitmap) are delta-maintained via the document's
-// per-plan IncState; every other plan runs from scratch on the
-// canonical live-tree snapshot (memoized per generation, results
-// memoized in cache under the generation-aware key) with ids mapped
-// back to arena ids. Caller holds d.mu.
+// runIncrementalIn evaluates q against the live document. Bitmap
+// plans are delta-maintained via the document's per-plan IncState;
+// every other plan runs from scratch on the canonical live-tree
+// snapshot (memoized per generation, results memoized in cache under
+// the generation-aware key) with ids mapped back to arena ids. Caller
+// holds d.mu.
 func (q *CompiledQuery) runIncrementalIn(ctx context.Context, d *Document, cache *TreeCache) (*Database, Stats, error) {
 	plan := q.plan
 	if sp, ok := plan.(*spannerPlan); ok {
@@ -345,27 +345,22 @@ func (q *CompiledQuery) runIncrementalIn(ctx context.Context, d *Document, cache
 		// it like one (span enumeration happens on top, per call).
 		plan = sp.inner
 	}
-	switch p := plan.(type) {
-	case *linearPlan:
-		return d.incRunLocked(ctx, q.memoKey, p.engineName(),
+	if p, ok := plan.(*bitmapPlan); ok {
+		return d.incRunLocked(ctx, q.memoKey,
 			func() *eval.IncState { return p.plan.NewIncState(d.arena) })
-	case *bitmapPlan:
-		return d.incRunLocked(ctx, q.memoKey, p.engineName(),
-			func() *eval.IncState { return p.plan.NewIncState(d.arena) })
-	default:
-		lt, pre := d.snapshotLocked()
-		if cache != nil {
-			d.memoizeOnLocked(lt, cache)
-		}
-		db, rs, err := q.runCachedIn(ctx, lt, cache)
-		if err != nil {
-			return nil, rs, err
-		}
-		if pre != nil {
-			db = remapToArena(db, pre, d.arena.Len())
-		}
-		return db, rs, nil
 	}
+	lt, pre := d.snapshotLocked()
+	if cache != nil {
+		d.memoizeOnLocked(lt, cache)
+	}
+	db, rs, err := q.runCachedIn(ctx, lt, cache)
+	if err != nil {
+		return nil, rs, err
+	}
+	if pre != nil {
+		db = remapToArena(db, pre, d.arena.Len())
+	}
+	return db, rs, nil
 }
 
 // memoizeOnLocked records that cache is about to memoize fallback
@@ -496,7 +491,7 @@ func (s *QuerySet) RunIncremental(ctx context.Context, d *Document) []SetResult 
 	defer d.mu.Unlock()
 	var total Stats
 	if s.fused != nil {
-		full, shared, err := d.incRunLocked(ctx, s.fusedKey, s.fused.Engine().String(),
+		full, shared, err := d.incRunLocked(ctx, s.fusedKey,
 			func() *eval.IncState { return s.fused.NewIncState(d.arena) })
 		total.Add(shared)
 		var dbs []*Database

@@ -185,7 +185,7 @@ func TestDocumentConcurrent(t *testing.T) {
 	ctx := context.Background()
 	labels := []string{"a", "b", "c"}
 	doc := NewDocument(tree.MustParse("a(b(c),d)"))
-	q, err := Compile(`q(X) :- leaf(X). ?- q.`, LangDatalog, WithEngine(EngineBitmap))
+	q, err := Compile(`q(X) :- leaf(X). ?- q.`, LangDatalog)
 	if err != nil {
 		t.Fatal(err)
 	}

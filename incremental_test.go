@@ -73,10 +73,10 @@ func replayWith(t *testing.T, ctx context.Context, p *Program, doc *Document, pr
 }
 
 // TestIncrementalDifferential fuzzes edit scripts: random programs
-// over randomly edited documents, with the incremental results of
-// every serving engine/level arm — plus all-linear and all-bitmap
-// fused QuerySets, and a semi-naive replay at both levels — compared
-// against the naive replay-from-scratch after every edit window.
+// over randomly edited documents, with the incremental results at
+// both optimization levels — plus a fused QuerySet, and a linear and a
+// semi-naive replay at both levels — compared against the naive
+// replay-from-scratch after every edit window.
 func TestIncrementalDifferential(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(fuzzSeed(t) ^ 0x9e3779b9))
@@ -95,55 +95,43 @@ func TestIncrementalDifferential(t *testing.T) {
 	}
 }
 
-// incrementalCase maintains progs[0] (on both engines at both
-// optimization levels) and the fused set of progs (on both engines) on
-// a live document over tr through six random edit windows, checking
-// every maintained model against replay from scratch after each.
+// incrementalCase maintains progs[0] (at both optimization levels)
+// and the fused set of progs on a live document over tr through six
+// random edit windows, checking every maintained model against replay
+// from scratch after each.
 func incrementalCase(t *testing.T, ctx context.Context, i int, rng *rand.Rand, progs []*Program, tr *Tree, labels []string) {
 	t.Helper()
-	engines := []Engine{EngineLinear, EngineBitmap}
 	levels := []OptLevel{OptNone, OptFull}
 	p := progs[0]
 	preds := p.IntensionalPreds()
 	doc := NewDocument(tr)
 
-	// One maintained arm per engine × optimization level, all fed
-	// the same edit script.
-	type arm struct {
-		e   Engine
-		lvl OptLevel
-		q   *CompiledQuery
-	}
-	var arms []arm
-	for _, e := range engines {
-		for _, lvl := range levels {
-			q, err := CompileProgram(p.Clone(), WithEngine(e), WithOptLevel(lvl))
-			if err != nil {
-				t.Fatalf("case %d: compiling %v/%v: %v\nprogram:\n%s", i, e, lvl, err, p)
-			}
-			arms = append(arms, arm{e, lvl, q})
+	// One maintained arm per optimization level, both fed the same
+	// edit script.
+	arms := make([]*CompiledQuery, len(levels))
+	for k, lvl := range levels {
+		q, err := CompileProgram(p.Clone(), WithOptLevel(lvl))
+		if err != nil {
+			t.Fatalf("case %d: compiling %v: %v\nprogram:\n%s", i, lvl, err, p)
 		}
+		arms[k] = q
 	}
 
-	// All-linear and all-bitmap fused sets over the same namespace.
-	sets := map[Engine]*QuerySet{}
-	for _, e := range []Engine{EngineLinear, EngineBitmap} {
-		qs := make([]*CompiledQuery, len(progs))
-		for j, mp := range progs {
-			q, err := CompileProgram(mp.Clone(), WithEngine(e), WithOptLevel(OptFull))
-			if err != nil {
-				t.Fatalf("case %d: compiling set member %d on %v: %v\nprogram:\n%s", i, j, e, err, mp)
-			}
-			qs[j] = q
-		}
-		set, err := NewQuerySet(qs...)
+	// A fused set over the same namespace.
+	qs := make([]*CompiledQuery, len(progs))
+	for j, mp := range progs {
+		q, err := CompileProgram(mp.Clone(), WithOptLevel(OptFull))
 		if err != nil {
-			t.Fatalf("case %d: fusing on %v: %v", i, e, err)
+			t.Fatalf("case %d: compiling set member %d: %v\nprogram:\n%s", i, j, err, mp)
 		}
-		if set.FusedLen() != len(progs) {
-			t.Fatalf("case %d: fused %d of %d %v members", i, set.FusedLen(), len(progs), e)
-		}
-		sets[e] = set
+		qs[j] = q
+	}
+	set, err := NewQuerySet(qs...)
+	if err != nil {
+		t.Fatalf("case %d: fusing: %v", i, err)
+	}
+	if set.FusedLen() != len(progs) {
+		t.Fatalf("case %d: fused %d of %d members", i, set.FusedLen(), len(progs))
 	}
 
 	for step := 0; step < 6; step++ {
@@ -152,39 +140,38 @@ func incrementalCase(t *testing.T, ctx context.Context, i int, rng *rand.Rand, p
 		}
 		oracle := replayUnary(t, ctx, p, doc, preds)
 		for _, lvl := range levels {
-			semi := replayWith(t, ctx, p, doc, preds, EngineSemiNaive, lvl)
-			for _, pred := range preds {
-				if got := fmt.Sprint(semi[pred]); got != fmt.Sprint(oracle[pred]) {
-					t.Fatalf("case %d step %d: seminaive/%v replay: %s = %s, naive %v\nprogram:\n%s",
-						i, step, lvl, pred, got, oracle[pred], p)
+			for _, e := range []Engine{EngineLinear, EngineSemiNaive} {
+				replay := replayWith(t, ctx, p, doc, preds, e, lvl)
+				for _, pred := range preds {
+					if got := fmt.Sprint(replay[pred]); got != fmt.Sprint(oracle[pred]) {
+						t.Fatalf("case %d step %d: %v/%v replay: %s = %s, naive %v\nprogram:\n%s",
+							i, step, e, lvl, pred, got, oracle[pred], p)
+					}
 				}
 			}
 		}
-		for _, a := range arms {
-			db, err := a.q.EvalIncremental(ctx, doc)
+		for k, q := range arms {
+			db, err := q.EvalIncremental(ctx, doc)
 			if err != nil {
-				t.Fatalf("case %d step %d: incremental %v/%v: %v\nprogram:\n%s", i, step, a.e, a.lvl, err, p)
+				t.Fatalf("case %d step %d: incremental %v: %v\nprogram:\n%s", i, step, levels[k], err, p)
 			}
 			for _, pred := range preds {
 				if got := fmt.Sprint(db.UnarySet(pred)); got != fmt.Sprint(oracle[pred]) {
-					t.Fatalf("case %d step %d: incremental %v/%v: %s = %s, replay %v\nprogram:\n%s",
-						i, step, a.e, a.lvl, pred, got, oracle[pred], p)
+					t.Fatalf("case %d step %d: incremental %v: %s = %s, replay %v\nprogram:\n%s",
+						i, step, levels[k], pred, got, oracle[pred], p)
 				}
 			}
 		}
-		for e, set := range sets {
-			res := set.RunIncremental(ctx, doc)
-			for j, r := range res {
-				if r.Err != nil {
-					t.Fatalf("case %d step %d: fused %v member %d: %v\nprogram:\n%s", i, step, e, j, r.Err, progs[j])
-				}
-				mo := replayUnary(t, ctx, progs[j], doc, progs[j].IntensionalPreds())
-				for _, pred := range progs[j].IntensionalPreds() {
-					got, want := r.Assignment[pred], mo[pred]
-					if fmt.Sprint(got) != fmt.Sprint(want) && (len(got) > 0 || len(want) > 0) {
-						t.Fatalf("case %d step %d: fused %v member %d: %s = %v, replay %v\nprogram:\n%s",
-							i, step, e, j, pred, got, want, progs[j])
-					}
+		for j, r := range set.RunIncremental(ctx, doc) {
+			if r.Err != nil {
+				t.Fatalf("case %d step %d: fused member %d: %v\nprogram:\n%s", i, step, j, r.Err, progs[j])
+			}
+			mo := replayUnary(t, ctx, progs[j], doc, progs[j].IntensionalPreds())
+			for _, pred := range progs[j].IntensionalPreds() {
+				got, want := r.Assignment[pred], mo[pred]
+				if fmt.Sprint(got) != fmt.Sprint(want) && (len(got) > 0 || len(want) > 0) {
+					t.Fatalf("case %d step %d: fused member %d: %s = %v, replay %v\nprogram:\n%s",
+						i, step, j, pred, got, want, progs[j])
 				}
 			}
 		}
@@ -198,44 +185,42 @@ func incrementalCase(t *testing.T, ctx context.Context, i int, rng *rand.Rand, p
 func TestMutationInvalidatesMemo(t *testing.T) {
 	ctx := context.Background()
 	src := `q(X) :- label_new(X). ?- q.`
-	for _, e := range []Engine{EngineLinear, EngineBitmap} {
-		t.Run(e.String(), func(t *testing.T) {
-			tr := tree.MustParse("a(b(c),d)")
-			q, err := Compile(src, LangDatalog, WithEngine(e))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids, err := q.Select(ctx, tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(ids) != 0 {
-				t.Fatalf("pre-mutation select = %v, want empty", ids)
-			}
-			a := tr.Arena()
-			id, err := a.InsertSubtree(a.NewDelta(), 0, 0, tree.New("new"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids, err = q.Select(ctx, tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmt.Sprint(ids) != fmt.Sprint([]int32{id}) {
-				t.Fatalf("post-mutation select = %v, want [%d] (stale memo?)", ids, id)
-			}
-			if err := a.RemoveSubtree(a.NewDelta(), id); err != nil {
-				t.Fatal(err)
-			}
-			ids, err = q.Select(ctx, tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(ids) != 0 {
-				t.Fatalf("post-removal select = %v, want empty (stale memo?)", ids)
-			}
-		})
-	}
+	t.Run("bitmap", func(t *testing.T) {
+		tr := tree.MustParse("a(b(c),d)")
+		q, err := Compile(src, LangDatalog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids, err := q.Select(ctx, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ids) != 0 {
+			t.Fatalf("pre-mutation select = %v, want empty", ids)
+		}
+		a := tr.Arena()
+		id, err := a.InsertSubtree(a.NewDelta(), 0, 0, tree.New("new"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids, err = q.Select(ctx, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(ids) != fmt.Sprint([]int32{id}) {
+			t.Fatalf("post-mutation select = %v, want [%d] (stale memo?)", ids, id)
+		}
+		if err := a.RemoveSubtree(a.NewDelta(), id); err != nil {
+			t.Fatal(err)
+		}
+		ids, err = q.Select(ctx, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ids) != 0 {
+			t.Fatalf("post-removal select = %v, want empty (stale memo?)", ids)
+		}
+	})
 
 	// The automaton reads the pointer view, so its document is edited
 	// at the pointer level and reindexed; its memo is keyed the same.
@@ -266,11 +251,11 @@ func TestMutationInvalidatesMemo(t *testing.T) {
 
 	t.Run("fused-set", func(t *testing.T) {
 		tr := tree.MustParse("a(b(c),d)")
-		q1, err := Compile(src, LangDatalog, WithEngine(EngineBitmap))
+		q1, err := Compile(src, LangDatalog)
 		if err != nil {
 			t.Fatal(err)
 		}
-		q2, err := Compile(`q(X) :- leaf(X). ?- q.`, LangDatalog, WithEngine(EngineBitmap))
+		q2, err := Compile(`q(X) :- leaf(X). ?- q.`, LangDatalog)
 		if err != nil {
 			t.Fatal(err)
 		}

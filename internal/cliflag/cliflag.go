@@ -1,15 +1,13 @@
 // Package cliflag holds the flag plumbing shared by the five command
-// line tools, so every CLI spells the optimizer and engine options the
-// same way: -O takes a level argument, -O0/-O1 are the conventional
-// shorthands, and -engine accepts only the serving engines, surfacing
-// one error naming them otherwise.
+// line tools, so every CLI spells the optimizer option the same way:
+// -O takes a level argument and -O0/-O1 are the conventional
+// shorthands.
 package cliflag
 
 import (
 	"flag"
 	"fmt"
 
-	mdlog "mdlog"
 	"mdlog/internal/opt"
 )
 
@@ -32,12 +30,4 @@ func OptLevel(fs *flag.FlagSet) func() (opt.Level, error) {
 		}
 		return opt.ParseLevel(*level)
 	}
-}
-
-// Engine registers -engine on fs and returns a resolver to call after
-// parsing; any value but a serving engine yields
-// mdlog.ParseEngineFlag's error, which names the valid options.
-func Engine(fs *flag.FlagSet) func() (mdlog.Engine, error) {
-	name := fs.String("engine", "bitmap", "serving engine: bitmap (the default) or linear (the Horn-grounding engine, kept as an explicit option and oracle); the reference engines seminaive, naive and lit are library-only oracles")
-	return func() (mdlog.Engine, error) { return mdlog.ParseEngineFlag(*name) }
 }

@@ -8,7 +8,6 @@ package eval
 // once per document for the whole wrapper set.
 
 import (
-	"fmt"
 	"slices"
 	"time"
 
@@ -33,31 +32,18 @@ type FusedMember struct {
 	Subsumed bool
 }
 
-// FusedPlan is a Plan for a fused program plus the per-member
+// FusedPlan is a bitmap plan for a fused program plus the per-member
 // projections that recover each wrapper's visible relations from the
 // shared result. Immutable after NewFusedPlan; safe for concurrent
 // use.
 type FusedPlan struct {
-	plan    *Plan
-	bitmap  *BitmapPlan // non-nil iff engine == EngineBitmap
-	engine  Engine
+	bitmap  *BitmapPlan
 	members []FusedMember
 }
 
-// NewFusedPlan prepares the fused program for the bitmap engine (the
-// serving default) and attaches the member projections.
+// NewFusedPlan prepares the fused program for the bitmap engine and
+// attaches the member projections.
 func NewFusedPlan(p *datalog.Program, members []FusedMember) (*FusedPlan, error) {
-	return NewFusedPlanEngine(p, members, EngineBitmap)
-}
-
-// NewFusedPlanEngine is NewFusedPlan with an explicit grounding
-// engine for the shared pass: EngineLinear or EngineBitmap (the two
-// engines that execute prepared Theorem 4.2 plans; anything else is
-// rejected).
-func NewFusedPlanEngine(p *datalog.Program, members []FusedMember, engine Engine) (*FusedPlan, error) {
-	if engine != EngineLinear && engine != EngineBitmap {
-		return nil, fmt.Errorf("eval: fused plans run on the linear or bitmap engine, not %v", engine)
-	}
 	pl, err := NewPlan(p)
 	if err != nil {
 		return nil, err
@@ -70,41 +56,22 @@ func NewFusedPlanEngine(p *datalog.Program, members []FusedMember, engine Engine
 		}
 	}
 	slices.Sort(visible)
-	pl = pl.Visible(slices.Compact(visible))
-	f := &FusedPlan{plan: pl, engine: engine, members: members}
-	if engine == EngineBitmap {
-		f.bitmap = pl.Bitmap()
-	}
-	return f, nil
+	return &FusedPlan{bitmap: pl.Visible(slices.Compact(visible)).Bitmap(), members: members}, nil
 }
 
 // Plan returns the underlying prepared plan (e.g. for its program).
-func (f *FusedPlan) Plan() *Plan { return f.plan }
-
-// Engine returns the engine the shared pass runs on.
-func (f *FusedPlan) Engine() Engine { return f.engine }
+func (f *FusedPlan) Plan() *Plan { return f.bitmap.pl }
 
 // RunFull executes the fused plan once over nav and returns the
 // shared (unsplit) result database, restricted to the relations some
 // member projects — the memoizable unit; Split recovers the
 // per-member views.
-func (f *FusedPlan) RunFull(nav *Nav) (*datalog.Database, error) {
-	if f.bitmap != nil {
-		return f.bitmap.Run(nav)
-	}
-	return f.plan.Run(nav)
-}
+func (f *FusedPlan) RunFull(nav *Nav) (*datalog.Database, error) { return f.bitmap.Run(nav) }
 
 // NewIncState builds an incremental maintainer for the fused program
-// over a (reusing the already-prepared bitmap plan when the shared
-// pass runs on the bitmap engine). Split the maintained Database to
-// recover per-member views.
-func (f *FusedPlan) NewIncState(a *tree.Arena) *IncState {
-	if f.bitmap != nil {
-		return f.bitmap.NewIncState(a)
-	}
-	return f.plan.NewIncState(a)
-}
+// over a, reusing the already-prepared bitmap plan. Split the
+// maintained Database to recover per-member views.
+func (f *FusedPlan) NewIncState(a *tree.Arena) *IncState { return f.bitmap.NewIncState(a) }
 
 // Members returns the number of fused members.
 func (f *FusedPlan) Members() int { return len(f.members) }

@@ -103,14 +103,7 @@ type IncStats struct {
 
 // NewIncState builds incremental maintenance state for the plan over
 // the document behind a, at the arena's current generation, by one
-// full evaluation. Both grounding engines (linear and bitmap) compute
-// the same least model, so one IncState serves queries compiled for
-// either.
-func (pl *Plan) NewIncState(a *tree.Arena) *IncState {
-	return newIncState(pl.Bitmap(), a)
-}
-
-// NewIncState is Plan.NewIncState for an already-prepared bitmap plan.
+// full evaluation.
 func (bp *BitmapPlan) NewIncState(a *tree.Arena) *IncState {
 	return newIncState(bp, a)
 }

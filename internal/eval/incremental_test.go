@@ -76,7 +76,7 @@ func TestIncrementalEval(t *testing.T) {
 			for trial := 0; trial < 6; trial++ {
 				tr := tree.Random(rng, tree.RandomOptions{Labels: labels, Size: 40 + rng.Intn(80), MaxChildren: 5})
 				a := tr.Arena()
-				inc := pl.NewIncState(a)
+				inc := pl.Bitmap().NewIncState(a)
 				if inc.Fallback() != tc.fallback {
 					t.Fatalf("fallback = %v, want %v", inc.Fallback(), tc.fallback)
 				}
@@ -177,7 +177,7 @@ func TestIncStateBehind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc := pl.NewIncState(a)
+	inc := pl.Bitmap().NewIncState(a)
 	if _, err := inc.Database(); err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestIncStateComposedWindows(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		tr := tree.Random(rng, tree.RandomOptions{Labels: labels, Size: 30, MaxChildren: 4})
 		a := tr.Arena()
-		inc := pl.NewIncState(a)
+		inc := pl.Bitmap().NewIncState(a)
 		var ds []*tree.ArenaDelta
 		for i := 0; i < 4; i++ {
 			d := a.NewDelta()

@@ -38,9 +38,9 @@ type Stats struct {
 	// Spans is the number of span tuples extracted (spanner queries
 	// only; the span-rule result rows, not the node facts in Facts).
 	Spans int64
-	// Engine names the engine that served the runs ("linear",
-	// "bitmap", "automaton", ...). Aggregating runs served by
-	// different engines yields "mixed".
+	// Engine names the engine that served the runs ("bitmap",
+	// "automaton", "xpath-direct", "elog-direct"). Aggregating runs
+	// served by different engines yields "mixed".
 	Engine string
 }
 

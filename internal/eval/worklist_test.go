@@ -126,7 +126,7 @@ func TestIncStateWorkBound(t *testing.T) {
 			for op := 0; op < 20; op++ {
 				randomEdit(t, rng, a, pre, labels)
 			}
-			inc := pl.NewIncState(a)
+			inc := pl.Bitmap().NewIncState(a)
 			bp := inc.bp
 			if checks, bound := inc.run.anchorChecks, workBound(bp, a.Len()); checks > bound {
 				t.Fatalf("initial run: %d evalAnchor calls, bound %d", checks, bound)
@@ -259,7 +259,7 @@ q(X) :- m(X), label_b(X), leaf(X).
 			}
 
 			// Incremental: the initial model and one edited generation.
-			inc := pl.NewIncState(a)
+			inc := pl.Bitmap().NewIncState(a)
 			for step := 0; step < 2; step++ {
 				got, err := inc.Database()
 				if err != nil {
@@ -295,28 +295,25 @@ q(X) :- m(X), label_b(X), leaf(X).
 			for i, pred := range vis {
 				members[min(i/max(half, 1), 1)].Project["v_"+pred] = pred
 			}
-			for _, e := range []Engine{EngineLinear, EngineBitmap} {
-				fp, err := NewFusedPlanEngine(p, members, e)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := fp.RunFull(NavOf(a))
-				if err != nil {
-					t.Fatal(err)
-				}
-				all, err := full.Run(NavOf(a))
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := all.Project(vis)
-				if diff := sameDatabase(want, got); diff != "" {
-					t.Errorf("%s fused %v: %s", what, e, diff)
-				}
-				gotSplit, wantSplit := fp.Split(got), fp.Split(all)
-				for i := range members {
-					if diff := sameDatabase(wantSplit[i], gotSplit[i]); diff != "" {
-						t.Errorf("%s fused %v member %d: %s", what, e, i, diff)
-					}
+			fp, err := NewFusedPlan(p, members)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := fp.RunFull(NavOf(a))
+			if err != nil {
+				t.Fatal(err)
+			}
+			edited, err := full.Run(NavOf(a))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := sameDatabase(edited.Project(vis), got); diff != "" {
+				t.Errorf("%s fused: %s", what, diff)
+			}
+			gotSplit, wantSplit := fp.Split(got), fp.Split(edited)
+			for i := range members {
+				if diff := sameDatabase(wantSplit[i], gotSplit[i]); diff != "" {
+					t.Errorf("%s fused member %d: %s", what, i, diff)
 				}
 			}
 		}

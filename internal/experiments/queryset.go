@@ -29,19 +29,12 @@ type QuerySetPoint struct {
 	// MergedPreds counts auxiliary predicates shared across members.
 	MergedPreds int `json:"merged_preds"`
 	// SequentialNs / FusedNs are one full pass over the document set
-	// (every wrapper, every document) in nanoseconds, per path, with
-	// every member compiled for the linear engine.
+	// (every wrapper, every document) in nanoseconds, per path, on the
+	// serving (bitmap) engine.
 	SequentialNs float64 `json:"sequential_ns"`
 	FusedNs      float64 `json:"fused_ns"`
 	// Speedup is SequentialNs / FusedNs.
 	Speedup float64 `json:"speedup"`
-	// BitmapFusedNs is the same fused pass with every member compiled
-	// for the bitmap engine, so the shared evaluation runs as columnar
-	// bitset algebra; BitmapSpeedup is SequentialNs / BitmapFusedNs.
-	// Fused member count grows with N while the pass stays one scan of
-	// the shared columns, so this column scales sublinearly in N.
-	BitmapFusedNs float64 `json:"bitmap_fused_ns"`
-	BitmapSpeedup float64 `json:"bitmap_speedup"`
 }
 
 // QuerySetFamily builds a realistic wrapper fleet of size n over the
@@ -98,15 +91,7 @@ func QuerySetData(cfg Config) []QuerySetPoint {
 		specs := QuerySetFamily(n)
 		queries := make([]*mdlog.CompiledQuery, len(specs))
 		rulesSeq := 0
-		// The linear baseline: sequential and fused passes on the
-		// Horn-grounding engine.
-		linearSpecs := make([]mdlog.SetSpec, len(specs))
 		for i, sp := range specs {
-			sp.Options = append(append([]mdlog.Option{}, sp.Options...),
-				mdlog.WithEngine(mdlog.EngineLinear))
-			linearSpecs[i] = sp
-		}
-		for i, sp := range linearSpecs {
 			q, err := mdlog.Compile(sp.Source, sp.Lang,
 				append(append([]mdlog.Option{}, sp.Options...), mdlog.WithoutCache())...)
 			if err != nil {
@@ -115,39 +100,20 @@ func QuerySetData(cfg Config) []QuerySetPoint {
 			queries[i] = q
 			rulesSeq += q.OptStats().RulesAfter
 		}
-		set, err := mdlog.CompileSet(linearSpecs)
+		set, err := mdlog.CompileSet(specs)
 		if err != nil {
 			panic(fmt.Sprintf("queryset N=%d: %v", n, err))
 		}
-		// The same fleet compiled for the bitmap engine: every fusable
-		// member routes through the columnar pipeline, so the shared
-		// pass itself runs on bitmaps.
-		bitmapSpecs := make([]mdlog.SetSpec, len(specs))
-		for i, sp := range specs {
-			sp.Options = append(append([]mdlog.Option{}, sp.Options...),
-				mdlog.WithEngine(mdlog.EngineBitmap))
-			bitmapSpecs[i] = sp
-		}
-		bset, err := mdlog.CompileSet(bitmapSpecs)
-		if err != nil {
-			panic(fmt.Sprintf("queryset bitmap N=%d: %v", n, err))
-		}
 		// Semantics guard: fused and sequential must agree on every
-		// member and document, on both fused engines, before timing
-		// means anything.
+		// member and document before timing means anything.
 		for _, doc := range docs {
-			results := set.Run(ctx, doc)
-			bresults := bset.Run(ctx, doc)
-			for i, res := range results {
+			for i, res := range set.Run(ctx, doc) {
 				if res.Err != nil {
 					panic(fmt.Sprintf("queryset %s: %v", res.Name, res.Err))
 				}
 				want, err := queries[i].Select(ctx, doc)
 				if err != nil || fmt.Sprint(res.IDs) != fmt.Sprint(want) {
 					panic(fmt.Sprintf("queryset %s diverges: %v vs %v (%v)", res.Name, res.IDs, want, err))
-				}
-				if bres := bresults[i]; bres.Err != nil || fmt.Sprint(bres.IDs) != fmt.Sprint(want) {
-					panic(fmt.Sprintf("queryset bitmap %s diverges: %v vs %v (%v)", res.Name, bres.IDs, want, bres.Err))
 				}
 			}
 		}
@@ -179,17 +145,6 @@ func QuerySetData(cfg Config) []QuerySetPoint {
 			}
 		}).Nanoseconds())
 		pt.Speedup = pt.SequentialNs / pt.FusedNs
-		pt.BitmapFusedNs = float64(timeIt(func() {
-			for _, doc := range docs {
-				bset.Cache().Forget(doc)
-				for _, res := range bset.Run(ctx, doc) {
-					if res.Err != nil {
-						panic(res.Err)
-					}
-				}
-			}
-		}).Nanoseconds())
-		pt.BitmapSpeedup = pt.SequentialNs / pt.BitmapFusedNs
 		out = append(out, pt)
 	}
 	return out
@@ -201,12 +156,11 @@ func QuerySet(cfg Config) Table {
 		ID:    "EXT-QUERYSET",
 		Title: "QuerySet fusion: N wrappers, one shared pass per document",
 		Headers: []string{"wrappers", "fused", "rules seq", "rules fused", "merged preds",
-			"seq ms", "fused ms", "speedup", "bitmap ms", "bitmap speedup"},
+			"seq ms", "fused ms", "speedup"},
 		Notes: "Product-page wrapper fleet (Elog⁻ field extractors sharing the row chain + XPath variants) " +
 			"over the benchmark document set, result memos defeated on both paths. " +
 			"rules seq sums the members' individual prepared plans; rules fused is the one shared program. " +
-			"bitmap columns run the identical fused pass on the columnar bitmap engine — growing N adds " +
-			"rules to one shared scan, so per-member cost shrinks sublinearly. " +
+			"Both paths run on the serving (bitmap) engine. " +
 			"cmd/benchtables -queryset emits these rows as BENCH_queryset.json.",
 	}
 	for _, pt := range QuerySetData(cfg) {
@@ -215,7 +169,6 @@ func QuerySet(cfg Config) Table {
 			fmt.Sprint(pt.RulesSequential), fmt.Sprint(pt.RulesFused), fmt.Sprint(pt.MergedPreds),
 			fmt.Sprintf("%.3f", pt.SequentialNs/1e6), fmt.Sprintf("%.3f", pt.FusedNs/1e6),
 			fmt.Sprintf("%.2fx", pt.Speedup),
-			fmt.Sprintf("%.3f", pt.BitmapFusedNs/1e6), fmt.Sprintf("%.2fx", pt.BitmapSpeedup),
 		})
 	}
 	return t

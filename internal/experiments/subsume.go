@@ -108,7 +108,7 @@ func subsumeFleet(n int) []opt.FuseMember {
 	return members
 }
 
-// subsumePlan prepares a fused linear plan for the fleet under the
+// subsumePlan prepares a fused bitmap plan for the fleet under the
 // given pass selection, resolving each member's visible predicate
 // through the alias map.
 func subsumePlan(members []opt.FuseMember, o opt.FuseOptions) (*eval.FusedPlan, opt.FuseReport) {

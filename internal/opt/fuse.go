@@ -2,7 +2,7 @@ package opt
 
 // Program fusion for QuerySet: N post-optimization member programs —
 // any of them the compiled form of a different source language —
-// become ONE program that a single linear-engine pass evaluates per
+// become ONE program that a single engine pass evaluates per
 // document, after which each member's visible relations are projected
 // back out.
 //

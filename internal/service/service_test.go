@@ -604,26 +604,12 @@ func TestOptimizerObservability(t *testing.T) {
 	}
 }
 
-// TestWrapperSpecEngineOpt: specs select serving engines and
-// optimization levels, invalid values — the reference engines
-// included — fail compilation, and the daemon-wide default applies to
-// specs that leave opt empty.
-func TestWrapperSpecEngineOpt(t *testing.T) {
-	ws := WrapperSpec{Lang: mdlog.LangElog, Source: elogSrc}
-	for _, engine := range []string{"linear", "bitmap"} {
-		ws.Engine = engine
-		if _, err := ws.Compile(); err != nil {
-			t.Fatalf("%s spec: %v", engine, err)
-		}
-	}
-	for _, engine := range []string{"warp", "seminaive", "naive", "lit"} {
-		ws.Engine = engine
-		if _, err := ws.Compile(); err == nil || !strings.HasSuffix(err.Error(), "(valid engines: linear, bitmap)") {
-			t.Errorf("engine %q must be refused naming the valid options, got %v", engine, err)
-		}
-	}
-	ws.Engine = ""
-	ws.Opt = "nope"
+// TestWrapperSpecOpt: specs select optimization levels, an invalid
+// level fails compilation, the daemon-wide default applies to specs
+// that leave opt empty, and every datalog-routed wrapper serves on the
+// bitmap engine.
+func TestWrapperSpecOpt(t *testing.T) {
+	ws := WrapperSpec{Lang: mdlog.LangElog, Source: elogSrc, Opt: "nope"}
 	if _, err := ws.Compile(); err == nil {
 		t.Error("bad opt level must fail compilation")
 	}
@@ -638,77 +624,35 @@ func TestWrapperSpecEngineOpt(t *testing.T) {
 	if lvl := wr.Query.OptStats().Level; lvl != mdlog.OptNone {
 		t.Errorf("daemon default O0 not applied: wrapper compiled at %v", lvl)
 	}
+	if got := wr.Query.EngineName(); got != "bitmap" {
+		t.Errorf("wrapper runs on %q, want bitmap", got)
+	}
 	bad := bootConfig()
 	bad.Opt = "zz"
 	if _, err := New(bad); err == nil {
 		t.Error("invalid daemon opt default must fail boot")
 	}
+}
 
-	// Without a daemon-wide engine, specs that leave engine empty run
-	// on bitmap; a daemon-wide default applies to them instead, and an
-	// unknown default fails the boot.
-	s, err = New(bootConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wr, _ = s.Registry().Get("items")
-	if got := wr.Query.EngineName(); got != "bitmap" {
-		t.Errorf("default engine: wrapper runs on %q, want bitmap", got)
-	}
-	cfg = bootConfig()
-	cfg.Engine = "linear"
-	s, err = New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wr, _ = s.Registry().Get("items")
-	if got := wr.Query.EngineName(); got != "linear" {
-		t.Errorf("daemon default engine not applied: wrapper runs on %q", got)
-	}
-	for _, engine := range []string{"warp", "naive"} {
-		bad = bootConfig()
-		bad.Engine = engine
-		if _, err := New(bad); err == nil || !strings.HasSuffix(err.Error(), "(valid engines: linear, bitmap)") {
-			t.Errorf("daemon engine default %q must fail boot naming the valid options, got %v", engine, err)
-		}
-		bad = bootConfig()
-		bad.Wrappers[0].Engine = engine
-		if _, err := New(bad); err == nil || !strings.HasSuffix(err.Error(), "(valid engines: linear, bitmap)") {
-			t.Errorf("boot wrapper engine %q must fail boot naming the valid options, got %v", engine, err)
-		}
-	}
-
-	// PUT /wrappers with a reference engine is a 400 naming the serving
-	// engines, and registers nothing.
+// TestEngineFieldRejected: the engine is not a wrapper or daemon
+// setting, so a PUT body or a boot config carrying "engine" fails the
+// strict decoders, naming the field, and registers nothing.
+func TestEngineFieldRejected(t *testing.T) {
 	_, ts := newTestServer(t, nil)
-	status, body := doJSON(t, http.MethodPut, ts.URL+"/wrappers/x", `{"lang":"xpath","source":"//td","engine":"lit"}`)
-	if msg, _ := body["error"].(string); status != http.StatusBadRequest || !strings.HasSuffix(msg, "(valid engines: linear, bitmap)") {
-		t.Errorf("PUT engine lit: status %d body %v, want 400 naming linear, bitmap", status, body)
+	status, body := doJSON(t, http.MethodPut, ts.URL+"/wrappers/x", `{"lang":"xpath","source":"//td","engine":"linear"}`)
+	if msg, _ := body["error"].(string); status != http.StatusBadRequest || !strings.Contains(msg, `unknown field "engine"`) {
+		t.Errorf("PUT with engine: status %d body %v, want 400 naming the field", status, body)
 	}
 	if status, _ := doJSON(t, http.MethodGet, ts.URL+"/wrappers/x", ""); status != http.StatusNotFound {
 		t.Errorf("rejected wrapper registered anyway: GET status %d", status)
 	}
-
-	// A stored wrapper naming a reference engine fails the boot too.
-	dir := t.TempDir()
-	_, ts = newTestServer(t, &Config{DataDir: dir})
-	if status, body := doJSON(t, http.MethodPut, ts.URL+"/wrappers/x", `{"lang":"xpath","source":"//td","engine":"linear"}`); status != http.StatusCreated {
-		t.Fatalf("PUT: status %d body %v", status, body)
-	}
-	path := filepath.Join(dir, storeFileName)
-	snap, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	edited := strings.Replace(string(snap), `"linear"`, `"naive"`, 1)
-	if edited == string(snap) {
-		t.Fatalf("snapshot does not record the engine:\n%s", snap)
-	}
-	if err := os.WriteFile(path, []byte(edited), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(&Config{DataDir: dir}); err == nil || !strings.HasSuffix(err.Error(), "(valid engines: linear, bitmap)") {
-		t.Errorf("stored engine naive must fail boot naming the valid options, got %v", err)
+	for name, cfg := range map[string]string{
+		"daemon":  `{"engine": "bitmap"}`,
+		"wrapper": `{"wrappers": [{"name": "w", "lang": "xpath", "source": "//td", "engine": "bitmap"}]}`,
+	} {
+		if _, err := ParseConfig([]byte(cfg)); err == nil || !strings.Contains(err.Error(), `unknown field "engine"`) {
+			t.Errorf("%s config with engine: got %v, want an error naming the field", name, err)
+		}
 	}
 }
 

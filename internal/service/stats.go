@@ -40,9 +40,8 @@ func (s *Server) snapshot() ([]wrapperStats, mdlog.Stats) {
 
 // queryStatsJSON renders a lifetime aggregate (see mdlog.Stats). The
 // "engine" entry is the engine that SERVED the aggregated runs —
-// "mixed" when a wrapper's runs were split across engines (e.g. a
-// bitmap wrapper whose fused all-wrapper passes fell back to linear),
-// "" before the first run.
+// "mixed" when the runs were split across engines (a total over
+// bitmap and automaton wrappers), "" before the first run.
 func queryStatsJSON(st mdlog.Stats) map[string]any {
 	return map[string]any{
 		"runs":           st.Runs,

@@ -75,8 +75,11 @@ func (st *Store) Path() string { return st.path }
 
 // Load reads the registry snapshot. A missing file is an empty
 // registry (first boot); anything else that fails — unreadable file,
-// malformed JSON, unknown fields, a future format version — is a hard
-// error naming the file, never a silently-empty registry.
+// malformed JSON, a future format version, an invalid wrapper name —
+// is a hard error naming the file, never a silently-empty registry.
+// Unknown fields are ignored, unlike in PUT bodies and boot configs: a
+// snapshot written before a spec field was removed (such as "engine")
+// must still boot, and the next Save drops the field.
 func (st *Store) Load() ([]StoredWrapper, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()

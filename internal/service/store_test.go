@@ -131,6 +131,48 @@ func TestStoreCorruptSnapshotFailsBoot(t *testing.T) {
 	}
 }
 
+// TestStoreLoadsEngineSpecs: testdata/wrappers_with_engine.json is a
+// snapshot written while wrapper specs still carried an "engine" field
+// ("linear" on one wrapper, "bitmap" on the other). It must still boot
+// and serve both wrappers, and the next Save must drop the key.
+func TestStoreLoadsEngineSpecs(t *testing.T) {
+	fixture, err := os.ReadFile("testdata/wrappers_with_engine.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, storeFileName)
+	if err := os.WriteFile(path, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, &Config{DataDir: dir})
+	for name, want := range map[string]int{"items": 2, "prices": 1} {
+		status, body := doJSON(t, http.MethodPost, ts.URL+"/extract/"+name, page)
+		if status != http.StatusOK {
+			t.Fatalf("extract/%s: status %d body %v", name, status, body)
+		}
+		if got := len(intSlice(t, body["nodes"])); got != want {
+			t.Errorf("extract/%s selects %d nodes, want %d", name, got, want)
+		}
+	}
+	spec := `{"lang":"xpath","source":"//td"}`
+	if status, body := doJSON(t, http.MethodPut, ts.URL+"/wrappers/cells", spec); status != http.StatusCreated {
+		t.Fatalf("PUT cells: status %d body %v", status, body)
+	}
+	snap, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(snap), `"engine"`) {
+		t.Errorf("Save kept the engine key:\n%s", snap)
+	}
+	for _, name := range []string{`"items"`, `"prices"`, `"cells"`} {
+		if !strings.Contains(string(snap), name) {
+			t.Errorf("Save lost wrapper %s:\n%s", name, snap)
+		}
+	}
+}
+
 // TestStoreBootSeedsAndPrecedence: config wrappers seed a fresh store,
 // and on the next boot the stored entry wins over a changed config
 // seed (the store is runtime state, the config only fills gaps).

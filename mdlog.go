@@ -50,7 +50,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"slices"
 
 	"mdlog/internal/caterpillar"
 	"mdlog/internal/datalog"
@@ -115,10 +114,9 @@ func ParseProgram(src string) (*Program, error) { return datalog.ParseProgram(sr
 // TreeDB materializes τ_ur (see eval options for extensions).
 func TreeDB(t *Tree, opts ...eval.TreeDBOption) *Database { return eval.TreeDB(t, opts...) }
 
-// Evaluation engines (Sections 3.2 and 4.1). Compile serves with the
-// two grounding engines, EngineBitmap (the default) and EngineLinear;
-// the set-oriented engines are one-shot reference oracles reachable
-// through EvalOnTree only.
+// Evaluation engines (Sections 3.2 and 4.1). Compile always serves
+// with EngineBitmap; the constants select an engine only in
+// EvalOnTree, where the other four run as oracles.
 type Engine = eval.Engine
 
 const (
@@ -133,43 +131,56 @@ const (
 	EngineLIT = eval.EngineLIT
 	// EngineBitmap evaluates the same Theorem 4.2 fragment as
 	// EngineLinear as bulk bitset algebra over the arena columns plus
-	// a fact-at-a-time worklist; the serving default.
+	// a fact-at-a-time worklist; the serving engine.
 	EngineBitmap = eval.EngineBitmap
 )
 
-// ParseEngineFlag converts a serving-engine flag value ("linear" or
-// "bitmap") into an Engine; any other name, the reference engines'
-// included, is an error naming the valid engines.
-func ParseEngineFlag(s string) (Engine, error) {
-	for _, e := range servingEngines {
-		if s == e.String() {
-			return e, nil
-		}
-	}
-	return 0, fmt.Errorf("mdlog: %q is not a serving engine (valid engines: %s)", s, servingEngineList())
-}
-
 // EvalOnTree evaluates a monadic program on a tree with the chosen
-// engine, returning the intensional relations. The serving engines
-// compile through CompileProgram (TMNF included); the reference
-// engines (seminaive, naive, lit) evaluate the program as given.
+// engine, returning the intensional relations. EngineBitmap is the
+// serving path through CompileProgram (TMNF included); EngineLinear
+// runs the linear engine on the program and visible set that path
+// prepares; the set-oriented engines (seminaive, naive, lit) evaluate
+// the program as given.
 //
 // It is a single-shot shim: each call pays the full preparation cost.
 // Use CompileProgram + CompiledQuery.Eval to amortize it over many
 // documents.
 func EvalOnTree(p *Program, t *Tree, e Engine) (*Database, error) {
-	if !slices.Contains(servingEngines, e) {
+	if e != EngineLinear && e != EngineBitmap {
 		return eval.EvalOnTree(p, t, e)
 	}
-	q, err := CompileProgram(p, WithEngine(e), WithoutCache())
+	q, err := CompileProgram(p, WithoutCache())
 	if err != nil {
 		return nil, err
+	}
+	if e == EngineLinear {
+		return q.evalLinear(t)
 	}
 	return q.Eval(context.Background(), t)
 }
 
-// Query evaluates the program's distinguished query predicate with the
-// linear engine (Theorem 4.2) and returns the selected node ids.
+// evalLinear runs q's grounding plan on the Theorem 4.2 linear engine
+// instead of the bitmap one: the same optimized program, the same
+// visible predicates. It is the linear oracle behind EvalOnTree and
+// the differential tests.
+func (q *CompiledQuery) evalLinear(t *Tree) (*Database, error) {
+	plan := q.plan
+	if sp, ok := plan.(*spannerPlan); ok {
+		plan = sp.inner
+	}
+	bp, ok := plan.(*bitmapPlan)
+	if !ok {
+		return nil, fmt.Errorf("mdlog: %v query has no grounding plan for the linear engine", q.lang)
+	}
+	pl, err := eval.NewPlan(bp.plan.Program())
+	if err != nil {
+		return nil, err
+	}
+	return pl.Visible(bp.project).Run(eval.NewNav(t))
+}
+
+// Query evaluates the program's distinguished query predicate on the
+// serving engine and returns the selected node ids.
 //
 // Single-shot shim; see CompileProgram + CompiledQuery.Select for the
 // amortized path.

@@ -43,7 +43,7 @@ const (
 	langInvalid Language = iota
 	// LangDatalog is monadic datalog over τ_ur ∪ {child, lastchild}
 	// (Section 3); programs using child/2 are normalized to TMNF for
-	// the linear engine (Theorem 5.2).
+	// the grounding engine (Theorem 5.2).
 	LangDatalog
 	// LangTMNF is monadic datalog already in Tree-Marking Normal Form
 	// (Definition 5.1); Compile validates the shape instead of
@@ -207,7 +207,6 @@ type OptReport = opt.Report
 type Option func(*compileConfig)
 
 type compileConfig struct {
-	engine    Engine
 	queryPred string
 	extract   []string
 	wrapOpts  WrapOptions
@@ -215,14 +214,6 @@ type compileConfig struct {
 	noCache   bool
 	optLevel  OptLevel
 }
-
-// WithEngine selects the serving engine for datalog-routed plans:
-// EngineBitmap (the default) or EngineLinear, honored by every
-// datalog-routed language; the MSO automaton and the direct
-// XPath/Elog⁻Δ evaluators ignore it. Any other Engine value — the
-// reference engines seminaive, naive and lit included — fails
-// compilation (no silent fallback); EvalOnTree runs those.
-func WithEngine(e Engine) Option { return func(c *compileConfig) { c.engine = e } }
 
 // WithQueryPred sets the predicate Select reads (default: the
 // program's distinguished query predicate, the single Elog extraction
@@ -252,8 +243,8 @@ func WithOptLevel(l OptLevel) Option { return func(c *compileConfig) { c.optLeve
 // queryPlan is a prepared, immutable execution strategy. run returns
 // the visible result relations for one document plus per-run
 // measurements; implementations must be safe for concurrent use.
-// engineName identifies the executor for stats attribution (the
-// datalog engine name, "automaton", or a *-direct evaluator).
+// engineName identifies the executor for stats attribution ("bitmap",
+// "automaton", or a *-direct evaluator).
 type queryPlan interface {
 	run(ctx context.Context, t *Tree, cache *TreeCache) (*Database, Stats, error)
 	engineName() string
@@ -345,17 +336,15 @@ func (a *aggStats) snapshot() Stats {
 }
 
 // planKey is the TreeCache result-memo key of a datalog-routed plan: a
-// fingerprint of the post-optimization program plus engine and
-// projection context, with the rule count mixed in as a collision
-// backstop.
+// fingerprint of the post-optimization program plus its projection,
+// with the rule count mixed in as a collision backstop.
 type planKey struct {
 	hash  uint64
 	rules int
 }
 
-func newPlanKey(p *Program, engine Engine, project []string) planKey {
-	extra := append([]string{engine.String()}, project...)
-	c := opt.Canonicalize(p, extra...)
+func newPlanKey(p *Program, project []string) planKey {
+	c := opt.Canonicalize(p, project...)
 	return planKey{hash: c.Hash, rules: c.Rules}
 }
 
@@ -468,16 +457,13 @@ var frontEnds = map[Language]frontEnd{
 }
 
 // compile is the one compile skeleton behind Compile and every
-// AST-level Compile* twin: config, engine check, the language's
-// translation, and for datalog-routed sources TMNF (Theorem 5.2) when
-// the program uses child/2, the optimizer, the grounding plan and its
+// AST-level Compile* twin: config, the language's translation, and for
+// datalog-routed sources TMNF (Theorem 5.2) when the program uses
+// child/2, the optimizer, the bitmap grounding plan and its
 // result-memo key.
 func compile(lang Language, ast any, opts []Option) (*CompiledQuery, error) {
 	cfg := newConfig(opts)
 	start := time.Now()
-	if err := cfg.checkEngine(); err != nil {
-		return nil, err
-	}
 	tr, err := frontEnds[lang].translate(ast, cfg)
 	if err != nil {
 		return nil, err
@@ -487,7 +473,7 @@ func compile(lang Language, ast any, opts []Option) (*CompiledQuery, error) {
 	var memoKey any
 	if tr.prog != nil {
 		np := tr.prog
-		// The grounding engines cannot use child/2 (no functional
+		// The grounding engine cannot use child/2 (no functional
 		// dependency, Proposition 4.1); the visible-predicate
 		// projection keeps the tm_* auxiliaries out of the results.
 		if tr.tmnf || eval.SignatureOf(np).Child {
@@ -496,10 +482,10 @@ func compile(lang Language, ast any, opts []Option) (*CompiledQuery, error) {
 			}
 		}
 		np, report = opt.Optimize(np, opt.Options{Level: cfg.optLevel, Roots: tr.visible})
-		if plan, err = groundPlan(np, cfg.engine, tr.visible); err != nil {
+		if plan, err = groundPlan(np, tr.visible); err != nil {
 			return nil, err
 		}
-		memoKey = newPlanKey(np, cfg.engine, tr.visible)
+		memoKey = newPlanKey(np, tr.visible)
 	}
 	if tr.wrap != nil {
 		plan = tr.wrap(plan)
@@ -514,36 +500,11 @@ func compile(lang Language, ast any, opts []Option) (*CompiledQuery, error) {
 }
 
 func newConfig(opts []Option) *compileConfig {
-	cfg := &compileConfig{engine: EngineBitmap, optLevel: OptFull}
+	cfg := &compileConfig{optLevel: OptFull}
 	for _, o := range opts {
 		o(cfg)
 	}
 	return cfg
-}
-
-// servingEngines are the engines Compile accepts: the two that execute
-// prepared Theorem 4.2 grounding plans. The set-oriented engines
-// (semi-naive, naive, LIT) are reference oracles, reachable through
-// EvalOnTree only.
-var servingEngines = []Engine{EngineLinear, EngineBitmap}
-
-// servingEngineList renders servingEngines for error and help text.
-func servingEngineList() string {
-	names := make([]string, len(servingEngines))
-	for i, e := range servingEngines {
-		names[i] = e.String()
-	}
-	return strings.Join(names, ", ")
-}
-
-// checkEngine rejects every engine but the serving ones at compile
-// time, naming the valid engines — no engine defers its failure to the
-// first run or silently falls back.
-func (cfg *compileConfig) checkEngine() error {
-	if !slices.Contains(servingEngines, cfg.engine) {
-		return fmt.Errorf("mdlog: %v is not a serving engine (valid engines: %s)", cfg.engine, servingEngineList())
-	}
-	return nil
 }
 
 // defaultPred is the query predicate of languages without a natural
@@ -683,19 +644,15 @@ func (q *CompiledQuery) setParse(d time.Duration) { q.agg.parse.Store(int64(d)) 
 
 func (q *CompiledQuery) setCompile(d time.Duration) { q.agg.compile.Store(int64(d)) }
 
-// groundPlan prepares an already-normalized program for one of the
-// two grounding engines: the Theorem 4.2 linear engine or its
-// columnar bitmap counterpart.
-func groundPlan(np *Program, engine Engine, project []string) (queryPlan, error) {
+// groundPlan prepares an already-normalized program for the bitmap
+// engine, the serving evaluator of the Theorem 4.2 fragment, with its
+// results narrowed to the visible predicates project.
+func groundPlan(np *Program, project []string) (queryPlan, error) {
 	pl, err := eval.NewPlan(np)
 	if err != nil {
 		return nil, err
 	}
-	pl = pl.Visible(project)
-	if engine == EngineBitmap {
-		return &bitmapPlan{plan: pl.Bitmap(), project: project}, nil
-	}
-	return &linearPlan{plan: pl, project: project}, nil
+	return &bitmapPlan{plan: pl.Visible(project).Bitmap(), project: project}, nil
 }
 
 // Language returns the source language the query was compiled from.
@@ -714,10 +671,10 @@ func (q *CompiledQuery) ExtractPreds() []string { return append([]string(nil), q
 // WithoutCache), e.g. to Forget a mutated document.
 func (q *CompiledQuery) Cache() *TreeCache { return q.cache }
 
-// EngineName reports which engine executes this query's plan:
-// a serving engine name ("linear", "bitmap") or one of the direct
-// evaluators ("automaton", "xpath-direct",
-// "elog-direct"). It is the value per-run Stats carry in Engine.
+// EngineName reports which engine executes this query's plan: "bitmap"
+// for every datalog-routed plan, else the MSO automaton ("automaton")
+// or a direct evaluator ("xpath-direct", "elog-direct"). It is the
+// value per-run Stats carry in Engine.
 func (q *CompiledQuery) EngineName() string { return q.plan.engineName() }
 
 // OptStats reports what the compile-time optimizer did to this query's
@@ -730,9 +687,7 @@ func (q *CompiledQuery) OptStats() OptReport { return q.optReport }
 // one-time parse/compile cost plus materialize/eval time, fact counts
 // and cache hits accumulated over all runs so far. Engine is the
 // query's plan engine — a compile-time property, so it attributes the
-// whole aggregate (QuerySet fused passes run member plans on the
-// fused plan's engine, which member compilation pins to the same
-// value).
+// whole aggregate (QuerySet fused passes run on the bitmap engine too).
 func (q *CompiledQuery) Stats() Stats {
 	rs := q.agg.snapshot()
 	rs.Engine = q.plan.engineName()
@@ -863,24 +818,10 @@ func (q *CompiledQuery) Assign(ctx context.Context, t *Tree) (Assignment, error)
 // ---------------------------------------------------------------------
 // Plan implementations.
 
-// linearPlan executes a prepared Theorem 4.2 plan, narrowed at
-// compile time to the visible predicates project (nil: everything
-// the program derives); fusion reads project to build the member's
-// projection.
-type linearPlan struct {
-	plan    *eval.Plan
-	project []string
-}
-
-func (p *linearPlan) engineName() string { return EngineLinear.String() }
-
-func (p *linearPlan) run(ctx context.Context, t *Tree, cache *TreeCache) (*Database, Stats, error) {
-	return runGrounding(ctx, t, cache, p.engineName(), p.plan.Run)
-}
-
-// bitmapPlan executes a prepared columnar bitmap plan — the same
-// Theorem 4.2 fragment as linearPlan, evaluated as bulk bitset
-// algebra over the arena columns.
+// bitmapPlan executes a prepared Theorem 4.2 plan as bulk bitset
+// algebra over the arena columns, narrowed at compile time to the
+// visible predicates project; fusion reads project to build the
+// member's projection.
 type bitmapPlan struct {
 	plan    *eval.BitmapPlan
 	project []string
@@ -888,16 +829,10 @@ type bitmapPlan struct {
 
 func (p *bitmapPlan) engineName() string { return EngineBitmap.String() }
 
+// run fetches or builds the navigation arrays and executes the
+// prepared plan.
 func (p *bitmapPlan) run(ctx context.Context, t *Tree, cache *TreeCache) (*Database, Stats, error) {
-	return runGrounding(ctx, t, cache, p.engineName(), p.plan.Run)
-}
-
-// runGrounding is the shared run path of the two grounding-engine
-// plans: fetch or build the navigation arrays, execute the prepared
-// plan.
-func runGrounding(ctx context.Context, t *Tree, cache *TreeCache, engine string,
-	exec func(*eval.Nav) (*Database, error)) (*Database, Stats, error) {
-	rs := Stats{Engine: engine}
+	rs := Stats{Engine: p.engineName()}
 	if err := ctx.Err(); err != nil {
 		return nil, rs, err
 	}
@@ -914,7 +849,7 @@ func runGrounding(ctx context.Context, t *Tree, cache *TreeCache, engine string,
 	}
 	rs.Materialize = time.Since(start)
 	start = time.Now()
-	db, err := exec(nav)
+	db, err := p.plan.Run(nav)
 	rs.Eval = time.Since(start)
 	if err != nil {
 		return nil, rs, err

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"mdlog/internal/eval"
 	"mdlog/internal/html"
 	"mdlog/internal/tree"
 )
@@ -182,8 +183,9 @@ func skeletonCases(t *testing.T) []skeletonCase {
 }
 
 // TestCompileSkeletonContract pins what the one compile skeleton
-// guarantees every language: WithEngine(EngineBitmap) reaches every
-// datalog-routed plan; Compile(src) and its AST twin share one
+// guarantees every language: every datalog-routed plan serves on the
+// bitmap engine and agrees with the linear engine run on the same
+// program and visible set; Compile(src) and its AST twin share one
 // result-memo entry through a shared cache (the automaton keys its memo
 // by query identity, so there the two stay apart); and both record
 // their compile time.
@@ -197,7 +199,7 @@ func TestCompileSkeletonContract(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.lang.String(), func(t *testing.T) {
 			tc := NewTreeCache(0)
-			opts := []Option{WithEngine(EngineBitmap), WithCache(tc)}
+			opts := []Option{WithCache(tc)}
 			fromSrc, err := Compile(c.src, c.lang, opts...)
 			if err != nil {
 				t.Fatalf("Compile: %v", err)
@@ -214,8 +216,18 @@ func TestCompileSkeletonContract(t *testing.T) {
 				if got := q.EngineName(); got != wantEngine {
 					t.Errorf("engine %q, want %q", got, wantEngine)
 				}
-				if _, err := q.Eval(ctx, doc); err != nil {
+				db, err := q.Eval(ctx, doc)
+				if err != nil {
 					t.Fatal(err)
+				}
+				if c.datalog {
+					lin, err := q.evalLinear(doc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if diff := eval.SameResults(lin, db, db.Preds()); diff != "" || !slices.Equal(lin.Preds(), db.Preds()) {
+						t.Errorf("bitmap %v and linear %v disagree: %s", db.Preds(), lin.Preds(), diff)
+					}
 				}
 				if q.Stats().Compile <= 0 {
 					t.Errorf("Stats().Compile not recorded: %+v", q.Stats())
@@ -235,8 +247,8 @@ func TestCompileSkeletonContract(t *testing.T) {
 	}
 }
 
-// TestDefaultEngineIsBitmap: with no engine named, datalog-routed
-// queries and the fused pass of a QuerySet serve on the bitmap engine.
+// TestDefaultEngineIsBitmap: datalog-routed queries and the fused
+// pass of a QuerySet serve on the bitmap engine.
 func TestDefaultEngineIsBitmap(t *testing.T) {
 	ctx := context.Background()
 	doc := ParseHTML(querySetPage)
@@ -265,28 +277,9 @@ func TestDefaultEngineIsBitmap(t *testing.T) {
 	}
 }
 
-// TestCompileRejectsReferenceEngines: every language's Compile and AST
-// twin refuse the reference engines and out-of-range values with an
-// error naming exactly the serving engines.
-func TestCompileRejectsReferenceEngines(t *testing.T) {
-	for _, c := range skeletonCases(t) {
-		for _, e := range []Engine{EngineSemiNaive, EngineNaive, EngineLIT, Engine(99)} {
-			for name, compile := range map[string]func(string, ...Option) (*CompiledQuery, error){
-				"Compile": func(src string, opts ...Option) (*CompiledQuery, error) { return Compile(src, c.lang, opts...) },
-				"twin":    c.twin,
-			} {
-				_, err := compile(c.src, WithEngine(e))
-				if err == nil || !strings.HasSuffix(err.Error(), "(valid engines: linear, bitmap)") {
-					t.Errorf("%v %s with engine %v: got %v, want a rejection naming linear, bitmap", c.lang, name, e, err)
-				}
-			}
-		}
-	}
-}
-
-// TestCompileEngines runs one program on both serving engines through
-// Compile and on the reference engines through EvalOnTree; all must
-// select the same nodes.
+// TestCompileEngines runs one program on the bitmap engine through
+// Compile and on the linear and reference engines through EvalOnTree;
+// all must select the same nodes.
 func TestCompileEngines(t *testing.T) {
 	doc := ParseHTML(crossPage)
 	src := `sel(X) :- label_td(X), firstchild(X,Y), label_b(Y).` // td whose first child is b
@@ -297,8 +290,8 @@ func TestCompileEngines(t *testing.T) {
 	want := ""
 	for _, e := range []Engine{EngineLinear, EngineBitmap, EngineSemiNaive, EngineNaive, EngineLIT} {
 		var got []int
-		if slices.Contains(servingEngines, e) {
-			q, err := Compile(src, LangDatalog, WithEngine(e), WithQueryPred("sel"))
+		if e == EngineBitmap {
+			q, err := Compile(src, LangDatalog, WithQueryPred("sel"))
 			if err != nil {
 				t.Fatalf("%v: %v", e, err)
 			}
@@ -321,7 +314,7 @@ func TestCompileEngines(t *testing.T) {
 }
 
 // TestEvalHidesNormalizationHelpers pins the Eval contract: when the
-// linear engine TMNF-normalizes a child-using program, the tm_*
+// compile skeleton TMNF-normalizes a child-using program, the tm_*
 // auxiliaries must not leak into the visible relations.
 func TestEvalHidesNormalizationHelpers(t *testing.T) {
 	doc := ParseHTML(crossPage)

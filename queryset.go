@@ -7,7 +7,7 @@ package mdlog
 // isolation. A QuerySet apex-renames the members' post-optimization
 // programs into one fused program (opt.Fuse), deduplicates the
 // auxiliary tm_*/conn_* chains the translations share, prepares ONE
-// linear-engine plan for the union, and per document runs that plan
+// bitmap-engine plan for the union, and per document runs that plan
 // once, projecting each member's visible relations back out. Members
 // that do not route through datalog (the MSO automaton, the direct
 // XPath/Elog⁻Δ evaluators) are evaluated individually inside the same
@@ -22,7 +22,6 @@ import (
 	"strings"
 	"time"
 
-	"mdlog/internal/datalog"
 	"mdlog/internal/eval"
 	"mdlog/internal/opt"
 	"mdlog/internal/span"
@@ -52,7 +51,7 @@ type SetSpec struct {
 	Source string
 	// Lang is the source language.
 	Lang Language
-	// Options are per-member compile options (engine, query predicate,
+	// Options are per-member compile options (query predicate,
 	// extraction list, optimization level, ...).
 	Options []Option
 }
@@ -91,8 +90,8 @@ type QuerySet struct {
 	cache   *TreeCache
 
 	// fused covers the members at the positions in fusedIdx — every
-	// member whose plan routes through the linear datalog engine; nil
-	// when fewer than two members are fusable.
+	// member whose plan routes through datalog; nil when fewer than two
+	// members are fusable.
 	fused    *eval.FusedPlan
 	fusedIdx []int
 	fusedKey planKey
@@ -170,16 +169,10 @@ func NewNamedQuerySet(members ...NamedQuery) (*QuerySet, error) {
 		s.plans[i] = MemberPlan{Name: m.Name, Index: i, Class: -1}
 	}
 	var fuseMembers []opt.FuseMember
-	bitmapMembers := 0
 	for i, m := range s.members {
 		if m.Query == nil {
 			return nil, fmt.Errorf("mdlog: QuerySet member %d (%s) is nil", i, m.Name)
 		}
-		// Both grounding-engine plans fuse: they execute the same
-		// prepared Theorem 4.2 plans, only the execution strategy
-		// differs.
-		var prog *datalog.Program
-		var visible []string
 		// A spanner member's node part is an ordinary grounding plan —
 		// fuse it; the span rules run per member on the split-out
 		// candidate relations (see fill).
@@ -187,15 +180,11 @@ func NewNamedQuerySet(members ...NamedQuery) (*QuerySet, error) {
 		if sp, ok := plan.(*spannerPlan); ok {
 			plan = sp.inner
 		}
-		switch lp := plan.(type) {
-		case *linearPlan:
-			prog, visible = lp.plan.Program(), lp.project
-		case *bitmapPlan:
-			prog, visible = lp.plan.Program(), lp.project
-			bitmapMembers++
-		default:
+		bp, ok := plan.(*bitmapPlan)
+		if !ok {
 			continue
 		}
+		prog, visible := bp.plan.Program(), bp.project
 		fuseMembers = append(fuseMembers, opt.FuseMember{
 			Prefix:  fmt.Sprintf("s%d__", i),
 			Program: prog,
@@ -284,15 +273,7 @@ func NewNamedQuerySet(members ...NamedQuery) (*QuerySet, error) {
 				mp.SharedWith = classRep[mp.Class]
 			}
 		}
-		// The shared pass runs on the bitmap engine only when EVERY
-		// fusable member asked for it — a single mixed set falls back to
-		// linear, which is an optimization choice, not a semantics
-		// change (the two engines are differentially tested to agree).
-		fusedEngine := EngineLinear
-		if bitmapMembers == len(fuseMembers) {
-			fusedEngine = EngineBitmap
-		}
-		fp, err := eval.NewFusedPlanEngine(fusedProg, evalMembers, fusedEngine)
+		fp, err := eval.NewFusedPlan(fusedProg, evalMembers)
 		if err != nil {
 			// Every member plan compiled individually, so the union
 			// must too; failing loudly beats silently degrading.
@@ -300,7 +281,7 @@ func NewNamedQuerySet(members ...NamedQuery) (*QuerySet, error) {
 		}
 		s.fused = fp
 		s.report = rep
-		s.fusedKey = newPlanKey(fusedProg, fusedEngine, project)
+		s.fusedKey = newPlanKey(fusedProg, project)
 	} else {
 		s.fusedIdx = nil
 	}
@@ -477,7 +458,7 @@ func (s *QuerySet) isFused(i int) bool {
 // (WithoutCache), the whole pass runs uncached — fresh navigation,
 // no memo — honoring that member's contract for the shared result.
 func (s *QuerySet) runFused(ctx context.Context, t *Tree) ([]*Database, Stats, error) {
-	rs := Stats{Engine: s.fused.Engine().String()}
+	rs := Stats{Engine: EngineBitmap.String()}
 	if err := ctx.Err(); err != nil {
 		return nil, rs, err
 	}

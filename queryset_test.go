@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -20,7 +19,7 @@ const querySetPage = `<html><body><table>
 
 // querySetSpecs is a mixed-language member pool: XPath, Elog⁻, MSO,
 // caterpillar and raw datalog, so sets drawn from it always mix fused
-// (linear datalog) and unfused (automaton) members.
+// (datalog-routed) and unfused (automaton) members.
 func querySetSpecs() []SetSpec {
 	return []SetSpec{
 		{Name: "xpath-td-b", Source: `//td[b]`, Lang: LangXPath},
@@ -34,7 +33,7 @@ price(x) :- item(x0), subelem("td.b", x0, x).
 	}
 }
 
-// compileQuerySetMember compiles one spec with an engine/opt override
+// compileQuerySetMember compiles one spec with an opt override
 // appended, so the differential suite can sweep the full matrix.
 func compileQuerySetMember(t *testing.T, sp SetSpec, extra ...Option) *CompiledQuery {
 	t.Helper()
@@ -67,13 +66,13 @@ func sortedKeys(a Assignment) []string {
 	return keys
 }
 
-// TestQuerySetDifferential locks the fusion contract: for every
-// engine × optimization level, QuerySet.Run returns bit-identical
-// results to the per-query Select/Assign path, for every member of a
-// mixed-language set. The reference engines do not serve: their arms
-// run the set on the linear engine and also compare every
-// datalog-routed member against the reference engine evaluating the
-// member's datalog translation (memberReference).
+// TestQuerySetDifferential locks the fusion contract: at every
+// optimization level, QuerySet.Run returns bit-identical results to
+// the per-query Select/Assign path, for every member of a
+// mixed-language set. The set always serves on bitmap; every other
+// engine's arm also compares each datalog-routed member against that
+// engine as a reference (memberReference): linear on the member's own
+// plan, the set-oriented engines on its datalog translation.
 func TestQuerySetDifferential(t *testing.T) {
 	ctx := context.Background()
 	doc := ParseHTML(querySetPage)
@@ -81,16 +80,12 @@ func TestQuerySetDifferential(t *testing.T) {
 	for _, engine := range []Engine{EngineLinear, EngineBitmap, EngineSemiNaive, EngineNaive, EngineLIT} {
 		for _, lvl := range []OptLevel{OptNone, OptFull} {
 			t.Run(fmt.Sprintf("%v-%v", engine, lvl), func(t *testing.T) {
-				serving := engine
-				if !slices.Contains(servingEngines, engine) {
-					serving = EngineLinear
-				}
 				var members []NamedQuery
 				var individual []*CompiledQuery
 				for _, sp := range specs {
 					members = append(members, NamedQuery{Name: sp.Name,
-						Query: compileQuerySetMember(t, sp, WithEngine(serving), WithOptLevel(lvl))})
-					individual = append(individual, compileQuerySetMember(t, sp, WithEngine(serving), WithOptLevel(lvl)))
+						Query: compileQuerySetMember(t, sp, WithOptLevel(lvl))})
+					individual = append(individual, compileQuerySetMember(t, sp, WithOptLevel(lvl)))
 				}
 				set, err := NewNamedQuerySet(members...)
 				if err != nil {
@@ -122,10 +117,10 @@ func TestQuerySetDifferential(t *testing.T) {
 						t.Errorf("%s: fused assignment %q, individual %q",
 							res.Name, assignString(res.Assignment), assignString(a))
 					}
-					if serving == engine {
+					if engine == EngineBitmap {
 						continue
 					}
-					db, ok := memberReference(t, specs[i], doc, engine, lvl)
+					db, ok := memberReference(t, specs[i], q, doc, engine, lvl)
 					if !ok {
 						continue
 					}
@@ -148,13 +143,24 @@ func TestQuerySetDifferential(t *testing.T) {
 	}
 }
 
-// memberReference evaluates a set member's datalog translation — the
-// program the compile skeleton receives for it — on a reference engine
-// at lvl, projected to the member's visible predicates. ok is false
-// for members without a datalog route (the MSO automaton) and for
-// programs outside the LIT fragment.
-func memberReference(t *testing.T, sp SetSpec, doc *Tree, e Engine, lvl OptLevel) (*Database, bool) {
+// memberReference evaluates a set member on a reference engine at
+// lvl, projected to the member's visible predicates: the linear engine
+// runs q's own prepared plan, the set-oriented engines run the
+// member's datalog translation — the program the compile skeleton
+// receives for it. ok is false for members without a datalog route
+// (the MSO automaton) and for programs outside the LIT fragment.
+func memberReference(t *testing.T, sp SetSpec, q *CompiledQuery, doc *Tree, e Engine, lvl OptLevel) (*Database, bool) {
 	t.Helper()
+	if e == EngineLinear {
+		if _, ok := q.plan.(*bitmapPlan); !ok {
+			return nil, false
+		}
+		db, err := q.evalLinear(doc)
+		if err != nil {
+			t.Fatalf("%s: linear reference: %v", sp.Name, err)
+		}
+		return db, true
+	}
 	fe := frontEnds[sp.Lang]
 	ast, err := fe.parse(sp.Source)
 	if err != nil {
@@ -184,8 +190,8 @@ func TestQuerySetFusesLinearMembers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// xpath, elog, caterpillar and datalog route through the linear
-	// engine; the MSO member runs its automaton unfused.
+	// xpath, elog, caterpillar and datalog route through datalog; the
+	// MSO member runs its automaton unfused.
 	if got, want := set.FusedLen(), 4; got != want {
 		t.Fatalf("FusedLen = %d, want %d", got, want)
 	}

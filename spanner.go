@@ -6,7 +6,7 @@ package mdlog
 // attribute values (internal/span). Compilation splits the program:
 // the node part — user rules plus one synthesized candidate predicate
 // per span rule — routes through the standard optimize → grounding
-// pipeline (linear or bitmap engine) exactly like any datalog query,
+// pipeline (bitmap engine) exactly like any datalog query,
 // while the span part compiles each regex formula to a variable-set
 // automaton run lazily over the matched nodes' character data. The
 // node database is memoized per (query, tree) in the TreeCache as
