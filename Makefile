@@ -67,9 +67,14 @@ bench-queryset:
 # Override the workload with MDLOG_FUZZ_N / MDLOG_FUZZ_SEED.
 # The store restart round-trip rides along: persistence must survive a
 # kill/reboot byte-identically, and it's fast enough for the quick path.
+# Then 10 s of native fuzzing of the PATCH path (FuzzPatchOps: decode an
+# edit script, apply it to a session document, incremental results ≡
+# from scratch); a crasher lands in internal/service/testdata/fuzz as a
+# regression seed.
 fuzz-smoke:
 	MDLOG_FUZZ_N=$${MDLOG_FUZZ_N:-400} $(GO) test -run 'TestDifferentialEngines|TestIncrementalDifferential' -count=1 .
 	$(GO) test -run 'TestStoreRestartRoundTrip|TestStoreCorruptSnapshotFailsBoot' -count=1 ./internal/service
+	$(GO) test -run '^$$' -fuzz '^FuzzPatchOps$$' -fuzztime 10s ./internal/service
 
 # Full-size substrate scaling points (1k/10k/100k nodes).
 bench-treesize:

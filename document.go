@@ -262,8 +262,9 @@ type DocumentStats struct {
 	// every maintainer; MaintainedPlans is the number of per-plan
 	// incremental states the document holds.
 	PendingWindows, MaintainedPlans int
-	// Inc aggregates the maintainers' counters (delta applies,
-	// full-re-evaluation fallbacks, facts overdeleted / rederived).
+	// Inc aggregates the maintainers' counters (structural windows
+	// applied, from-scratch fallbacks, facts deleted / re-proved /
+	// rederived).
 	Inc eval.IncStats
 }
 
@@ -280,11 +281,7 @@ func (d *Document) Stats() DocumentStats {
 		MaintainedPlans: len(d.states),
 	}
 	for _, st := range d.states {
-		is := st.inc.Stats()
-		ds.Inc.Applies += is.Applies
-		ds.Inc.Fallbacks += is.Fallbacks
-		ds.Inc.Overdeleted += is.Overdeleted
-		ds.Inc.Rederived += is.Rederived
+		ds.Inc.Add(st.inc.Stats())
 	}
 	return ds
 }

@@ -14,6 +14,9 @@ import (
 	"sort"
 	"testing"
 
+	"mdlog/internal/datalog"
+	"mdlog/internal/eval"
+	"mdlog/internal/html"
 	"mdlog/internal/tree"
 )
 
@@ -84,22 +87,94 @@ func TestIncrementalDifferential(t *testing.T) {
 	labels := []string{"a", "b", "c"}
 	iters := fuzzIterations(t)/4 + 2
 
+	randomEdits := func(rng *rand.Rand) func(int, *Document) {
+		return func(_ int, doc *Document) {
+			for k := 1 + rng.Intn(2); k > 0; k-- {
+				randomDocEdit(t, rng, doc, labels)
+			}
+		}
+	}
 	for i := 0; i < iters; i++ {
 		progs := []*Program{randomMonadicProgram(rng), randomMonadicProgram(rng), randomMonadicProgram(rng)}
 		tr := tree.Random(rng, tree.RandomOptions{Labels: labels, Size: 25 + rng.Intn(55), MaxChildren: 5})
-		incrementalCase(t, ctx, i, rng, progs, tr, labels)
+		incrementalCase(t, ctx, i, progs, tr, randomEdits(rng))
 		// Long-chain arm: the same programs maintained on a wide or
 		// deep tree, with trees and edits from a stream of their own so
 		// the cases above do not change.
-		incrementalCase(t, ctx, i, chainRng, progs, longChainTree(chainRng, labels), labels)
+		incrementalCase(t, ctx, i, progs, longChainTree(chainRng, labels), randomEdits(chainRng))
+	}
+
+	// Sibling-chain arm: remove, then insert, the first, middle and
+	// last child of a long sibling chain under descendant-style
+	// programs — the edits whose deletions cascade along
+	// firstchild·nextsibling* — each program maintained in turn.
+	sibRng := rand.New(rand.NewSource(fuzzSeed(t) ^ 0x27d4eb2f))
+	x, err := ParseXPath("//a[b]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	xp, err := XPathToDatalog(x, "q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs := []*Program{xp, datalog.MustParseProgram(`
+		d(X) :- root(X).
+		d(Y) :- firstchild(X, Y), d(X).
+		d(Y) :- nextsibling(X, Y), d(X).
+		q(X) :- d(X), label_b(X), firstsibling(X).
+		?- q.`), datalog.MustParseProgram(`
+		u(X) :- nextsibling(X, Y), label_b(Y).
+		u(X) :- nextsibling(X, Y), u(Y).
+		q(X) :- u(X), label_a(X).
+		?- q.`)}
+	for k := range progs {
+		rot := append(append([]*Program(nil), progs[k:]...), progs[:k]...)
+		incrementalCase(t, ctx, k, rot, siblingChainTree(sibRng, 150+sibRng.Intn(150)), chainEdits(t))
+	}
+}
+
+// siblingChainTree is a root over n children labelled a or b, about a
+// third of them with a b child of their own.
+func siblingChainTree(rng *rand.Rand, n int) *Tree {
+	root := tree.New("r")
+	for ; n > 0; n-- {
+		c := tree.New([]string{"a", "b"}[rng.Intn(2)])
+		if rng.Intn(3) == 0 {
+			c.Add(tree.New("b"))
+		}
+		root.Add(c)
+	}
+	return tree.NewTree(root)
+}
+
+// chainEdits removes the first, middle and last child of the root,
+// then inserts an a(b) subtree at the front, middle and end — one edit
+// per step.
+func chainEdits(t *testing.T) func(int, *Document) {
+	return func(step int, doc *Document) {
+		t.Helper()
+		a := doc.Tree().Arena()
+		var kids []int
+		for c := a.FirstChild[0]; c >= 0; c = a.NextSibling[c] {
+			kids = append(kids, int(c))
+		}
+		if step < 3 {
+			if err := doc.RemoveSubtree(kids[[]int{0, len(kids) / 2, len(kids) - 1}[step]]); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		if _, err := doc.InsertSubtree(0, []int{0, len(kids) / 2, len(kids)}[step%3], tree.MustParse("a(b)").Root); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
 // incrementalCase maintains progs[0] (at both optimization levels)
 // and the fused set of progs on a live document over tr through six
-// random edit windows, checking every maintained model against replay
-// from scratch after each.
-func incrementalCase(t *testing.T, ctx context.Context, i int, rng *rand.Rand, progs []*Program, tr *Tree, labels []string) {
+// edit windows, each made by edit, checking every maintained model
+// against replay from scratch after each.
+func incrementalCase(t *testing.T, ctx context.Context, i int, progs []*Program, tr *Tree, edit func(step int, doc *Document)) {
 	t.Helper()
 	levels := []OptLevel{OptNone, OptFull}
 	p := progs[0]
@@ -135,9 +210,7 @@ func incrementalCase(t *testing.T, ctx context.Context, i int, rng *rand.Rand, p
 	}
 
 	for step := 0; step < 6; step++ {
-		for k := 1 + rng.Intn(2); k > 0; k-- {
-			randomDocEdit(t, rng, doc, labels)
-		}
+		edit(step, doc)
 		oracle := replayUnary(t, ctx, p, doc, preds)
 		for _, lvl := range levels {
 			for _, e := range []Engine{EngineLinear, EngineSemiNaive} {
@@ -286,5 +359,174 @@ func TestMutationInvalidatesMemo(t *testing.T) {
 		if !found {
 			t.Fatalf("post-mutation leaf member = %v, missing new node %d (stale memo?)", res[1].IDs, id)
 		}
+	})
+}
+
+// TestIncrementalRowEditCounts is the sibling-chain cascade
+// regression test, in counts only: on a 1,100-row product listing
+// under the fused //td[b], //tr[td] and //td/em wrappers, a one-row
+// remove and a one-row insert at row 2 must each delete at most twice
+// the row's own facts — not every later row's subtree, as deleting
+// every fact with a derivation through the edited sibling chain did.
+func TestIncrementalRowEditCounts(t *testing.T) {
+	ctx := context.Background()
+	set, doc, table, rows := listingFleet(t)
+
+	// The row's own facts: every relation of the fused program, at the
+	// nodes of row 2's subtree.
+	full, err := eval.NewBitmapPlan(set.fused.Plan().Program())
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := full.Run(eval.NavOf(doc.Tree().Arena()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inRow := map[int]bool{}
+	var mark func(n *tree.Node)
+	mark = func(n *tree.Node) {
+		inRow[n.ID] = true
+		for _, c := range n.Children {
+			mark(c)
+		}
+	}
+	mark(rows[2])
+	own := 0
+	for _, pred := range db.Preds() {
+		for _, v := range db.UnarySet(pred) {
+			if inRow[v] {
+				own++
+			}
+		}
+	}
+
+	edit := func(what string, apply func() error) {
+		t.Helper()
+		set.RunIncremental(ctx, doc) // the maintainer is built on first use
+		before := doc.Stats().Inc
+		if err := apply(); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range set.RunIncremental(ctx, doc) {
+			if r.Err != nil {
+				t.Fatalf("%s: %v", what, r.Err)
+			}
+		}
+		after := doc.Stats().Inc
+		if after.Applies != before.Applies+1 || after.Fallbacks != before.Fallbacks {
+			t.Fatalf("%s: %d windows applied, %d fell back; want one maintained window", what,
+				after.Applies-before.Applies, after.Fallbacks-before.Fallbacks)
+		}
+		if del := after.Overdeleted - before.Overdeleted; del > 2*own {
+			t.Fatalf("%s: deleted %d facts, the row has %d of its own", what, del, own)
+		}
+		t.Logf("%s: deleted %d facts, re-proved %d; the row has %d of its own", what,
+			after.Overdeleted-before.Overdeleted, after.Reproved-before.Reproved, own)
+	}
+	edit("remove row 2", func() error { return doc.RemoveSubtree(rows[2].ID) })
+	edit("insert row 2", func() error {
+		_, err := doc.InsertSubtree(table.ID, 2, tree.MustParse("tr(td(#text),td(b(#text)),td(em(#text)))").Root)
+		return err
+	})
+}
+
+// listingFleet fuses the //td[b], //tr[td] and //td/em wrappers and
+// opens a live document over a 1,100-row product listing, returning
+// its table and product rows.
+func listingFleet(t *testing.T) (*QuerySet, *Document, *tree.Node, []*tree.Node) {
+	t.Helper()
+	var qs []*CompiledQuery
+	for _, src := range []string{"//td[b]", "//tr[td]", "//td/em"} {
+		q, err := Compile(src, LangXPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs = append(qs, q)
+	}
+	set, err := NewQuerySet(qs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if set.FusedLen() != len(qs) {
+		t.Fatalf("fused %d of %d wrappers", set.FusedLen(), len(qs))
+	}
+	doc := NewDocument(ParseHTML(html.ProductListing(rand.New(rand.NewSource(1)), 1100)))
+	var table *tree.Node
+	var rows []*tree.Node
+	for _, n := range doc.Tree().Nodes {
+		switch {
+		case n.Label == "table":
+			table = n
+		case n.Label == "tr" && len(n.Children) == 3 && n.Children[0].Label == "td":
+			rows = append(rows, n)
+		}
+	}
+	if table == nil || len(rows) != 1100 {
+		t.Fatalf("listing has table %v and %d product rows", table != nil, len(rows))
+	}
+	return set, doc, table, rows
+}
+
+// TestIncrementalCrossover drives the fused listing fleet through
+// windows that delete past the crossover and are re-solved from
+// scratch — one that stops part-way through the delete phase (400 of
+// 1,100 rows removed) and one that removes the whole table — with an
+// ordinary maintained edit after each. Every window's results must
+// equal a from-scratch run, and exactly the two large windows may fall
+// back.
+func TestIncrementalCrossover(t *testing.T) {
+	ctx := context.Background()
+	set, doc, table, rows := listingFleet(t)
+	set.RunIncremental(ctx, doc) // the maintainer is built on first use
+	window := func(what string, fallback bool, apply func() error) {
+		t.Helper()
+		before := doc.Stats().Inc
+		if err := apply(); err != nil {
+			t.Fatal(err)
+		}
+		got := set.RunIncremental(ctx, doc)
+		after := doc.Stats().Inc
+		wantFB := before.Fallbacks
+		if fallback {
+			wantFB++
+		}
+		if after.Applies != before.Applies+1 || after.Fallbacks != wantFB {
+			t.Fatalf("%s: %d windows applied, %d fell back; want 1 and %v", what,
+				after.Applies-before.Applies, after.Fallbacks-before.Fallbacks, fallback)
+		}
+		want := set.Run(ctx, doc.Snapshot())
+		live := doc.LiveNodes()
+		for i := range got {
+			if got[i].Err != nil || want[i].Err != nil {
+				t.Fatalf("%s: member %d: incremental error %v, full error %v", what, i, got[i].Err, want[i].Err)
+			}
+			mapped := make([]int, len(want[i].IDs))
+			for j, v := range want[i].IDs {
+				mapped[j] = live[v]
+			}
+			sort.Ints(mapped)
+			if fmt.Sprint(got[i].IDs) != fmt.Sprint(mapped) {
+				t.Fatalf("%s: member %d: incremental %d nodes, from scratch %d", what, i, len(got[i].IDs), len(mapped))
+			}
+		}
+	}
+	insertRow := func() error {
+		_, err := doc.InsertSubtree(table.ID, 2, tree.MustParse("tr(td(#text),td(b(#text)),td(em(#text)))").Root)
+		return err
+	}
+	window("remove 400 rows", true, func() error {
+		for _, r := range rows[1:401] {
+			if err := doc.RemoveSubtree(r.ID); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	window("insert a row after the re-solve", false, insertRow)
+	window("remove a row after the re-solve", false, func() error { return doc.RemoveSubtree(rows[500].ID) })
+	window("remove the table", true, func() error { return doc.RemoveSubtree(table.ID) })
+	window("insert a table after the re-solve", false, func() error {
+		_, err := doc.InsertSubtree(table.Parent.ID, 0, tree.MustParse("table(tr(td(b),td(em)),tr(td))").Root)
+		return err
 	})
 }

@@ -731,6 +731,27 @@ func (st *bitmapRun) applyCheck(live *bitset.Set, e binEdge, anchor int) {
 // against the current extension bitmaps.
 func (st *bitmapRun) evalAnchor(lr *linearRule, anchorVal int) bool {
 	st.anchorChecks++
+	if !st.bindEDB(lr, anchorVal) {
+		return false
+	}
+	for _, u := range lr.idbUnary {
+		if !st.unary[u.pid].Has(st.binding[u.v]) {
+			return false
+		}
+	}
+	for _, pid := range lr.idbProp {
+		if !st.props[pid] {
+			return false
+		}
+	}
+	return true
+}
+
+// bindEDB binds every slot of one rule instance from its anchor along
+// the spanning-tree steps and checks the extensional part of the body
+// (check atoms and unary EDB conditions), leaving the bindings in
+// st.binding for the caller's IDB tests.
+func (st *bitmapRun) bindEDB(lr *linearRule, anchorVal int) bool {
 	nav := st.nav
 	binding := st.binding
 	binding[lr.anchor] = anchorVal
@@ -756,16 +777,6 @@ func (st *bitmapRun) evalAnchor(lr *linearRule, anchorVal int) bool {
 	}
 	for _, u := range lr.unary {
 		if !st.holdsUnary(u, binding[u.v]) {
-			return false
-		}
-	}
-	for _, u := range lr.idbUnary {
-		if !st.unary[u.pid].Has(binding[u.v]) {
-			return false
-		}
-	}
-	for _, pid := range lr.idbProp {
-		if !st.props[pid] {
 			return false
 		}
 	}

@@ -107,10 +107,15 @@ func TestBitmapWorkBound(t *testing.T) {
 // TestIncStateWorkBound is TestBitmapWorkBound through incremental
 // maintenance on a mutated 10,000-sibling chain. The initial
 // evaluation over the mutated arena (dead rows, appended rows) stays
-// within the bound. Each Apply may add the DRed seeds on top: one
-// check per rule slot per affected row, and one per rule deriving an
-// overdeleted fact's predicate. The maintained model must match a full
-// run after every Apply.
+// within the bound. Each Apply may add the rederive seeds on top: one
+// check per rule slot per affected row, and one per rule deriving a
+// deleted fact's predicate. The support check binds each rule
+// instance at most once per window, plus one per body occurrence of
+// each fact it proves. Deletions are bounded by the facts that truly
+// die plus the edit frontier: every deleted fact that survives in the
+// new model is rederived, so Rederived is the excess, and it may not
+// pass one fact per predicate per affected row. The maintained model
+// must match a full run after every Apply.
 func TestIncStateWorkBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	labels := []string{"a", "b"}
@@ -134,30 +139,61 @@ func TestIncStateWorkBound(t *testing.T) {
 			if passes := inc.run.columnarPasses; passes > passBound(bp) {
 				t.Fatalf("initial run: %d columnar passes, bound %d", passes, passBound(bp))
 			}
-			slots := 0
+			slots, occ := 0, 0
 			for _, br := range bp.rules {
 				slots += br.lr.nvars
+				occ += len(br.lr.idbUnary)
+			}
+			preds := p.IntensionalPreds()
+			prev, err := inc.Database()
+			if err != nil {
+				t.Fatal(err)
 			}
 			for step := 0; step < 8; step++ {
 				d := a.NewDelta()
 				for op := 0; op < 4; op++ {
 					randomEdit(t, rng, a, d, labels)
 				}
-				before := inc.Stats().Overdeleted
+				before := inc.Stats()
 				if err := inc.Apply(d); err != nil {
 					t.Fatal(err)
 				}
+				after := inc.Stats()
 				affected := len(d.Touched) + len(d.Added) + len(d.Removed)
-				bound := workBound(bp, a.Len()) + slots*affected + len(bp.rules)*(inc.Stats().Overdeleted-before)
+				bound := workBound(bp, a.Len()) + slots*affected + len(bp.rules)*(after.Overdeleted-before.Overdeleted)
 				if checks := inc.run.anchorChecks; checks > bound {
 					t.Fatalf("step %d: %d evalAnchor calls, bound %d", step, checks, bound)
 				}
 				if passes := inc.run.columnarPasses; passes != 0 {
 					t.Fatalf("step %d: %d columnar passes, want none", step, passes)
 				}
+				// A document-wide bound: a proof may walk a sibling
+				// chain back to the root, so the check's work is not
+				// bounded by the edit (DESIGN.md § Incremental
+				// maintenance); each fact is still explored once.
+				if checks, bound := inc.proofChecks, (len(bp.rules)+occ)*a.Len(); checks > bound {
+					t.Fatalf("step %d: support check bound %d rule instances, bound %d", step, checks, bound)
+				}
 				got, err := inc.Database()
 				if err != nil {
 					t.Fatal(err)
+				}
+				died := 0
+				for _, pred := range preds {
+					now := map[int]bool{}
+					for _, v := range got.UnarySet(pred) {
+						now[v] = true
+					}
+					for _, v := range prev.UnarySet(pred) {
+						if !now[v] {
+							died++
+						}
+					}
+				}
+				prev = got
+				deleted, excess := after.Overdeleted-before.Overdeleted, after.Rederived-before.Rederived
+				if frontier := len(bp.pl.unaryPreds) * affected; deleted > died+frontier || excess > frontier {
+					t.Fatalf("step %d: deleted %d facts (%d rederived) where %d died, frontier %d", step, deleted, excess, died, frontier)
 				}
 				want, err := pl.Run(NavOf(a))
 				if err != nil {

@@ -85,10 +85,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(&b, "mdlogd_session_rejected_total %d\n", s.sessionRejected.Load())
 	counter("mdlogd_session_edits_total", "Edit operations applied to live sessions.")
 	fmt.Fprintf(&b, "mdlogd_session_edits_total %d\n", s.sessionEdits.Load())
-	counter("mdlogd_session_inc_applies_total", "Delta windows applied by incremental maintainers (live sessions).")
-	fmt.Fprintf(&b, "mdlogd_session_inc_applies_total %d\n", sessions["inc_applies"].(int))
-	counter("mdlogd_session_inc_fallback_total", "Delta windows handled by full re-evaluation (live sessions).")
-	fmt.Fprintf(&b, "mdlogd_session_inc_fallback_total %d\n", sessions["inc_fallback"].(int))
+	for _, c := range []struct{ name, key, help string }{
+		{"mdlogd_session_inc_applies_total", "inc_applies", "Structural delta windows applied by incremental maintainers (all sessions, closed ones included)."},
+		{"mdlogd_session_inc_fallback_total", "inc_fallback", "Delta windows re-solved from scratch (all sessions)."},
+		{"mdlogd_session_inc_overdeleted_total", "overdeleted", "Facts deleted by incremental maintenance (all sessions)."},
+		{"mdlogd_session_inc_reproved_total", "reproved", "Deletion candidates re-proved and kept by the support check (all sessions)."},
+		{"mdlogd_session_inc_rederived_total", "rederived", "Deleted facts restored by rederivation (all sessions)."},
+	} {
+		counter(c.name, c.help)
+		fmt.Fprintf(&b, "%s %d\n", c.name, sessions[c.key].(int))
+	}
 
 	fmt.Fprintf(&b, "# HELP mdlogd_wrapper_engine Plan engine by wrapper (value is always 1; the engine is the label).\n# TYPE mdlogd_wrapper_engine gauge\n")
 	for _, st := range stats {

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	mdlog "mdlog"
+	"mdlog/internal/eval"
 )
 
 // session is one live document with its usage timestamps.
@@ -51,6 +52,11 @@ type sessionStore struct {
 	m    map[string]*session
 	max  int           // ≤ 0: unbounded
 	idle time.Duration // LRU reclaim threshold at capacity
+	// retired accumulates the incremental-maintenance counters of the
+	// sessions put and remove took out of m. A session's counters move
+	// from m to retired under mu, and totals reads both under mu, so
+	// the session totals in /stats and /metrics never go down.
+	retired eval.IncStats
 }
 
 func newSessionStore(max int, idle time.Duration) *sessionStore {
@@ -66,6 +72,7 @@ func (st *sessionStore) put(ss *session) (evicted *session, ok bool) {
 	defer st.mu.Unlock()
 	if old, exists := st.m[ss.ID]; exists {
 		st.m[ss.ID] = ss
+		st.retire(old)
 		return old, true
 	}
 	if st.max > 0 && len(st.m) >= st.max {
@@ -79,6 +86,7 @@ func (st *sessionStore) put(ss *session) (evicted *session, ok bool) {
 			return nil, false
 		}
 		delete(st.m, lru.ID)
+		st.retire(lru)
 		evicted = lru
 	}
 	st.m[ss.ID] = ss
@@ -101,8 +109,34 @@ func (st *sessionStore) remove(id string) (*session, bool) {
 	ss, ok := st.m[id]
 	if ok {
 		delete(st.m, id)
+		st.retire(ss)
 	}
 	return ss, ok
+}
+
+// retire folds a session leaving m into the retired totals. Caller
+// holds st.mu.
+func (st *sessionStore) retire(ss *session) {
+	st.retired.Add(ss.doc.Stats().Inc)
+}
+
+// totals returns the open sessions sorted by id, their live-edit
+// count, and the incremental-maintenance counters of every session the
+// store has held — read under one lock, so a session is counted once
+// whether it is open or retired. (Reading a document's counters waits
+// for that document's in-flight maintenance.)
+func (st *sessionStore) totals() (sessions []*session, edits int64, inc eval.IncStats) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	inc = st.retired
+	for _, ss := range st.m {
+		ds := ss.doc.Stats()
+		edits += ds.Edits
+		inc.Add(ds.Inc)
+		sessions = append(sessions, ss)
+	}
+	sort.Slice(sessions, func(i, j int) bool { return sessions[i].ID < sessions[j].ID })
+	return sessions, edits, inc
 }
 
 func (st *sessionStore) len() int {
@@ -160,6 +194,7 @@ func sessionInfo(ss *session, withStats bool) map[string]any {
 			"applies":     ds.Inc.Applies,
 			"fallbacks":   ds.Inc.Fallbacks,
 			"overdeleted": ds.Inc.Overdeleted,
+			"reproved":    ds.Inc.Reproved,
 			"rederived":   ds.Inc.Rederived,
 		}
 	}

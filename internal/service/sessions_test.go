@@ -2,8 +2,10 @@ package service
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -284,4 +286,180 @@ func TestSessionReleaseForgetsSnapshots(t *testing.T) {
 			t.Errorf("wrapper %s cache holds %d entries after release, want 0", wr.Name, c.Len())
 		}
 	}
+}
+
+// scrapeTotals reads every `_total` series of /metrics.
+func scrapeTotals(t *testing.T, url string) map[string]float64 {
+	t.Helper()
+	out, err := readTotals(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func readTotals(url string) (map[string]float64, error) {
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		name, val, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
+		}
+		if base, _, _ := strings.Cut(name, "{"); !strings.HasSuffix(base, "_total") {
+			continue
+		}
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			return nil, fmt.Errorf("metrics line %q: %v", line, err)
+		}
+		out[name] = v
+	}
+	return out, nil
+}
+
+// decreased names the first `_total` series of prev that is missing
+// from or lower in cur.
+func decreased(prev, cur map[string]float64) string {
+	for name, was := range prev {
+		if now, ok := cur[name]; !ok || now < was {
+			return fmt.Sprintf("%s went from %v to %v (present %v)", name, was, now, ok)
+		}
+	}
+	return ""
+}
+
+// TestSessionCountersMonotonic: the session maintenance counters are
+// Prometheus counters, so they must survive the sessions they count.
+// Through a PUT, a structural PATCH, an extractall, a re-PUT of the
+// same id and a DELETE, no `_total` series may decrease, and the
+// closed session's work must still be counted at the end.
+func TestSessionCountersMonotonic(t *testing.T) {
+	_, url := sessionServer(t, nil)
+	prev := scrapeTotals(t, url)
+	step := func(what string) map[string]float64 {
+		t.Helper()
+		cur := scrapeTotals(t, url)
+		if msg := decreased(prev, cur); msg != "" {
+			t.Fatalf("after %s: %s", what, msg)
+		}
+		prev = cur
+		return cur
+	}
+
+	ul := extractAllSession(t, url, "page")["lists"][0]
+	step("extractall")
+	items := extractAllSession(t, url, "page")["items"]
+	code, v := doJSON(t, "PATCH", url+"/documents/page",
+		fmt.Sprintf(`{"ops":[{"op":"remove","node":%d},{"op":"insert","parent":%d,"pos":0,"term":"li"}]}`, items[1], ul))
+	if code != http.StatusOK {
+		t.Fatalf("PATCH: %d (%v)", code, v)
+	}
+	step("PATCH")
+	extractAllSession(t, url, "page")
+	worked := step("extractall after PATCH")
+	for _, name := range []string{"mdlogd_session_inc_applies_total", "mdlogd_session_inc_overdeleted_total"} {
+		if worked[name] == 0 {
+			t.Fatalf("%s = 0 after a structural edit was extracted", name)
+		}
+	}
+	for _, name := range []string{"mdlogd_session_inc_fallback_total", "mdlogd_session_inc_reproved_total", "mdlogd_session_inc_rederived_total"} {
+		if _, ok := worked[name]; !ok {
+			t.Fatalf("metrics lack %s", name)
+		}
+	}
+
+	if code, _ := doJSON(t, "PUT", url+"/documents/page", listPage); code != http.StatusOK {
+		t.Fatalf("re-PUT: %d", code)
+	}
+	step("re-PUT")
+	if code, _ := doJSON(t, "DELETE", url+"/documents/page", ""); code != http.StatusNoContent {
+		t.Fatalf("DELETE: %d", code)
+	}
+	final := step("DELETE")
+	for _, name := range []string{"mdlogd_session_inc_applies_total", "mdlogd_session_inc_overdeleted_total"} {
+		if final[name] != worked[name] {
+			t.Fatalf("%s = %v after the session closed, want the %v it counted", name, final[name], worked[name])
+		}
+	}
+}
+
+// TestSessionCountersMonotonicConcurrent scrapes /metrics in a loop
+// while sessions are edited, extracted, replaced and closed: a session
+// leaving the store must move its counters into the retired totals in
+// the same step, or a scrape between the two reads a `_total` below
+// the one before it. The last step pins that directly: a scrape right
+// after the store drops a session, before the handler releases it.
+func TestSessionCountersMonotonicConcurrent(t *testing.T) {
+	s, url := sessionServer(t, nil)
+	done := make(chan struct{})
+	failed := make(chan string, 1)
+	go func() {
+		defer close(failed)
+		prev, err := readTotals(url)
+		for err == nil {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			var cur map[string]float64
+			if cur, err = readTotals(url); err == nil {
+				if msg := decreased(prev, cur); msg != "" {
+					failed <- msg
+					return
+				}
+				prev = cur
+			}
+		}
+		failed <- err.Error()
+	}()
+
+	for i := 0; i < 40; i++ {
+		ul := extractAllSession(t, url, "page")["lists"][0]
+		code, v := doJSON(t, "PATCH", url+"/documents/page",
+			fmt.Sprintf(`{"ops":[{"op":"insert","parent":%d,"pos":0,"term":"li"}]}`, ul))
+		if code != http.StatusOK {
+			t.Fatalf("PATCH: %d (%v)", code, v)
+		}
+		extractAllSession(t, url, "page")
+		if i%2 == 0 {
+			if code, _ := doJSON(t, "DELETE", url+"/documents/page", ""); code != http.StatusNoContent {
+				t.Fatalf("DELETE: %d", code)
+			}
+		}
+		if code, _ := doJSON(t, "PUT", url+"/documents/page", listPage); code != http.StatusOK && code != http.StatusCreated {
+			t.Fatalf("PUT: %d", code)
+		}
+	}
+	close(done)
+	if msg, ok := <-failed; ok {
+		t.Fatal(msg)
+	}
+	ul := extractAllSession(t, url, "page")["lists"][0]
+	if code, v := doJSON(t, "PATCH", url+"/documents/page",
+		fmt.Sprintf(`{"ops":[{"op":"insert","parent":%d,"pos":0,"term":"li"}]}`, ul)); code != http.StatusOK {
+		t.Fatalf("PATCH: %d (%v)", code, v)
+	}
+	extractAllSession(t, url, "page")
+	before := scrapeTotals(t, url)
+	if got := before["mdlogd_session_inc_applies_total"]; got < 41 {
+		t.Fatalf("mdlogd_session_inc_applies_total = %v after 41 extracted structural edits", got)
+	}
+	ss, ok := s.sessions.remove("page")
+	if !ok {
+		t.Fatal("session page is not open")
+	}
+	if msg := decreased(before, scrapeTotals(t, url)); msg != "" {
+		t.Fatalf("between store removal and release: %s", msg)
+	}
+	s.releaseSession(ss)
 }

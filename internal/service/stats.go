@@ -228,28 +228,20 @@ func (s *Server) serviceJSON() map[string]any {
 }
 
 // sessionsJSON rolls up the live document sessions: the store state
-// plus the incremental-maintenance counters summed across sessions.
+// plus the incremental-maintenance counters of every session the
+// server has held — the open ones and the retired totals.
 func (s *Server) sessionsJSON() map[string]any {
-	var applies, fallbacks, overdeleted, rederived int
-	var edits int64
-	sessions := s.sessions.snapshot()
-	for _, ss := range sessions {
-		ds := ss.doc.Stats()
-		edits += ds.Edits
-		applies += ds.Inc.Applies
-		fallbacks += ds.Inc.Fallbacks
-		overdeleted += ds.Inc.Overdeleted
-		rederived += ds.Inc.Rederived
-	}
+	sessions, edits, inc := s.sessions.totals()
 	return map[string]any{
 		"count":        len(sessions),
 		"max":          s.sessions.max,
 		"rejected":     s.sessionRejected.Load(),
 		"edits":        s.sessionEdits.Load(),
 		"live_edits":   edits,
-		"inc_applies":  applies,
-		"inc_fallback": fallbacks,
-		"overdeleted":  overdeleted,
-		"rederived":    rederived,
+		"inc_applies":  inc.Applies,
+		"inc_fallback": inc.Fallbacks,
+		"overdeleted":  inc.Overdeleted,
+		"reproved":     inc.Reproved,
+		"rederived":    inc.Rederived,
 	}
 }
